@@ -1,16 +1,15 @@
 """Command-line front end.
 
 Subcommands: stats, fit, rank-fit, beta-calibrate, simulate, pipeline.
-Exit codes: 0 ok, 2 schema/parse, 3 empty or partial results, 4 fit-domain,
-5 internal assertion.  All outputs are deterministic given (input bytes,
-config, seed); machine files carry full-precision numbers, only the
-human-readable summary rounds.
+The exit code is 0, 3 for a partial pipeline, the ``exit_code`` of the
+``SkbetaError`` raised (see ``errors``), or 4 for a violated precondition.
+All outputs are deterministic given (input bytes, config, seed); machine
+files carry full-precision numbers, only the human-readable summary rounds.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -18,43 +17,15 @@ from pathlib import Path
 
 from . import __version__, betadist, ksfit, moments, ranksize, synthetic, urnsim
 from .errors import (
-    EmptyInputError,
     EmptyResultError,
-    FitDomainError,
-    InfeasibleMomentPairError,
-    InternalCheckError,
-    IntegrityError,
     InsufficientDataError,
-    NonNormalizableError,
-    NotBetaRepresentableError,
+    InternalCheckError,
     ParseError,
     SchemaError,
-    SingularDesignError,
     SkbetaError,
-    UndefinedHelpVariableError,
     UnsupportedDerivationError,
-    UnsupportedVariantError,
 )
-from .ingest import parse_city_csv
-from .moments import SKPoint
-
-EXIT_OK = 0
-EXIT_SCHEMA = 2
-EXIT_EMPTY = 3
-EXIT_FIT_DOMAIN = 4
-EXIT_INTERNAL = 5
-
-_FIT_DOMAIN_ERRORS = (
-    FitDomainError,
-    SingularDesignError,
-    NotBetaRepresentableError,
-    InfeasibleMomentPairError,
-    NonNormalizableError,
-    UndefinedHelpVariableError,
-    UnsupportedVariantError,
-    UnsupportedDerivationError,
-    InsufficientDataError,
-)
+from .ingest import parse_city_csv, read_sk_points, read_text, read_value_column
 
 
 def _write(path: Path, text: str) -> None:
@@ -70,7 +41,7 @@ def _read_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     out: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -84,109 +55,85 @@ def _read_config(path: str | None) -> dict[str, str]:
 def _resolve(flag_value, config: dict[str, str], key: str, default, cast):
     if flag_value is not None:
         return flag_value
-    if key in config:
+    if key not in config:
+        return default
+    try:
         return cast(config[key])
-    return default
+    except ValueError as exc:
+        raise ParseError(f"config key {key!r}: {exc}") from exc
 
 
-def _read_sk_points(path) -> list[SKPoint]:
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.strip():
-        raise EmptyInputError(f"{path}: file is empty")
-    reader = csv.DictReader(text.splitlines())
-    fields = reader.fieldnames or []
-    for col in ("group", "s", "k"):
-        if col not in fields:
-            raise SchemaError(f"{path}: missing column {col!r} in header {fields}")
-    points = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            points.append(
-                SKPoint(
-                    group_key=row["group"],
-                    s=float(row["s"]),
-                    k=float(row["k"]),
-                    n=int(row["n"]) if row.get("n") else 0,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not points:
-        raise EmptyInputError(f"{path}: no data rows")
-    return points
+def _check_counts(min_n: int, bins: int) -> None:
+    for name, value in (("min_n", min_n), ("bins", bins)):
+        if value < 1:
+            raise ParseError(f"{name} must be >= 1, got {value}")
 
 
 def _column_map(args) -> dict[str, str]:
-    cmap = {
-        args.group_by: "province",
-        args.value_column: "value",
-    }
+    cmap = {args.group_by: "province", args.value_column: "value"}
     if args.city_column is not None:
         cmap[args.city_column] = "city"
     return cmap
 
 
-def _summary_or_note(values, label: str) -> tuple[moments.MomentSummary | None, str]:
-    try:
-        return moments.summarize(values), ""
-    except SkbetaError as exc:
-        return None, f"{label}: summary unavailable ({exc})\n"
+def _sk_summary(s_vals, k_vals) -> str:
+    """Side-by-side S and K summaries, or why either is unavailable."""
+    summaries, notes = {}, ""
+    for label, values in (("S", s_vals), ("K", k_vals)):
+        try:
+            summaries[label] = moments.summarize(values)
+        except SkbetaError as exc:
+            notes += f"{label}: summary unavailable ({exc})\n"
+    return notes or moments.summary_block(summaries)
 
 
-def cmd_stats(args) -> int:
-    out = Path(args.out_dir)
-    dataset = parse_city_csv(args.input, _column_map(args))
-    result = moments.group_sk_points(dataset, min_n=args.min_n)
-    points = list(result.points)
+# Section writers.  Each writes one section's files into ``out`` and returns
+# (result, names of the files the pipeline manifest lists); JSON files are
+# written only for ``fmt == "json"`` and are not listed.
+
+
+def _pooled_stats(out: Path, values):
+    pooled = moments.summarize(values)
+    _write(out / "pooled_summary.txt", moments.summary_block({"value": pooled}))
+    return pooled, ["pooled_summary.txt"]
+
+
+def _write_skipped(out: Path, skipped) -> None:
+    lines = ["group,n,reason"] + [f"{g.group_key},{g.n},{g.reason}" for g in skipped]
+    _write(out / "skipped_groups.csv", "\n".join(lines) + "\n")
+
+
+def _group_stats(out: Path, groups: moments.GroupSKResult, bins: int, fmt: str):
+    points = list(groups.points)
     _write(out / "sk_points.csv", moments.sk_points_to_csv(points))
-    skipped_lines = ["group,n,reason"] + [
-        f"{g.group_key},{g.n},{g.reason}" for g in result.skipped
-    ]
-    _write(out / "skipped_groups.csv", "\n".join(skipped_lines) + "\n")
-
+    _write_skipped(out, groups.skipped)
     s_vals = [p.s for p in points]
     k_vals = [p.k for p in points]
-    sum_s, note_s = _summary_or_note(s_vals, "S")
-    sum_k, note_k = _summary_or_note(k_vals, "K")
-    if sum_s is not None and sum_k is not None:
-        text = moments.summary_block({"S": sum_s, "K": sum_k})
-    else:
-        text = note_s + note_k
-    _write(out / "summary.txt", text)
-    _write(out / "hist_s.csv", moments.histogram_to_csv(moments.histogram(s_vals, args.bins)))
-    _write(out / "hist_k.csv", moments.histogram_to_csv(moments.histogram(k_vals, args.bins)))
-    if args.format == "json":
+    _write(out / "summary.txt", _sk_summary(s_vals, k_vals))
+    _write(out / "hist_s.csv", moments.histogram_to_csv(moments.histogram(s_vals, bins)))
+    _write(out / "hist_k.csv", moments.histogram_to_csv(moments.histogram(k_vals, bins)))
+    if fmt == "json":
         payload = {
             "points": [dataclasses.asdict(p) for p in points],
-            "skipped": [dataclasses.asdict(g) for g in result.skipped],
+            "skipped": [dataclasses.asdict(g) for g in groups.skipped],
         }
         _write_json(out / "sk_points.json", payload)
-    return EXIT_OK
+    files = ["sk_points.csv", "skipped_groups.csv", "summary.txt", "hist_s.csv", "hist_k.csv"]
+    return points, files
 
 
-def _rank_series_from_args(args) -> list[float]:
-    if getattr(args, "target", None):
-        points = _read_sk_points(args.input)
-        return [p.s if args.target == "s" else p.k for p in points]
-    text = Path(args.input).read_text(encoding="utf-8")
-    if not text.strip():
-        raise EmptyInputError(f"{args.input}: file is empty")
-    reader = csv.DictReader(text.splitlines())
-    col = args.value_column
-    if col not in (reader.fieldnames or []):
-        raise SchemaError(f"{args.input}: missing column {col!r}")
-    values = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            values.append(float(row[col]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{args.input}: line {lineno}: {exc}") from exc
-    if not values:
-        raise EmptyInputError(f"{args.input}: no data rows")
-    return values
+def _ks_fit(out: Path, points, model: str, fmt: str):
+    result = getattr(ksfit, f"fit_{model}")(points)
+    stem = f"fit_{model}"
+    _write(out / f"{stem}.txt", ksfit.result_block(result))
+    _write(out / f"{stem}_residuals.csv", ksfit.residuals_csv(result))
+    _write(out / f"{stem}_curve.csv", ksfit.curve_csv(result))
+    if fmt == "json":
+        _write_json(out / f"{stem}.json", dataclasses.asdict(result))
+    return result, [f"{stem}.txt", f"{stem}_residuals.csv", f"{stem}_curve.csv"]
 
 
-def _run_rank_fit(values, variant: str, out: Path, stem: str, fmt: str) -> ranksize.RankFitResult:
+def _rank_fit(out: Path, values, variant: str, stem: str, fmt: str):
     series = ranksize.rank_ascending(values)
     result = ranksize.fit_rank_model(series, variant)
     _write(out / f"{stem}.txt", ranksize.result_block(result))
@@ -195,64 +142,106 @@ def _run_rank_fit(values, variant: str, out: Path, stem: str, fmt: str) -> ranks
         payload = {
             "variant": result.spec.variant.value,
             "params": result.spec.named(),
-            "std_errors": dict(
-                zip(ranksize.PARAM_NAMES[result.spec.variant], result.std_errors)
-            ),
+            "std_errors": dict(zip(ranksize.PARAM_NAMES[result.spec.variant], result.std_errors)),
             "r_squared": result.r_squared,
             "sse": result.sse,
             "n": result.n,
             "converged": result.converged,
         }
         _write_json(out / f"{stem}.json", payload)
-    return result
+    return result, [f"{stem}.txt", f"{stem}_series.csv"]
+
+
+def _calibrate(out: Path, s: float, k: float, stem: str, cdf: str, fmt: str):
+    cal = betadist.calibrate_from_sk(s, k)
+    _write(out / f"{stem}.txt", betadist.calibration_block(cal))
+    _write(out / cdf, betadist.cdf_curve_csv(cal.selected))
+    if fmt == "json":
+        _write_json(out / f"{stem}.json", dataclasses.asdict(cal))
+    return cal, [f"{stem}.txt", cdf]
+
+
+def _beta_moments(out: Path, values, stem: str):
+    s, k = moments.shape_moments(values)
+    return _calibrate(out, s, k, stem, f"{stem}_cdf.csv", "csv")
+
+
+def _beta_rank(out: Path, fit: ranksize.RankFitResult, stem: str):
+    params = ranksize.rank_fit_to_beta(fit)
+    block = (
+        f"a: {params.a!r}\n"
+        f"b: {params.b!r}\n"
+        "source: lav4 exponent correspondence (a = xi + 1, b = gamma + 1)\n"
+    )
+    _write(out / f"{stem}.txt", block)
+    _write(out / f"{stem}_cdf.csv", betadist.cdf_curve_csv(params))
+    return params, [f"{stem}.txt", f"{stem}_cdf.csv"]
+
+
+def _simulate(out: Path, cfg: urnsim.UrnConfig, k_min: int | None, fmt: str):
+    """The urn run; ``k_min`` adds the tail-slope line to the summary."""
+    result = urnsim.run(cfg)
+    try:
+        b = urnsim.predicted_b(cfg)
+    except (UnsupportedDerivationError, ValueError):
+        b = None
+    _write(out / "sim_hist.csv", urnsim.sim_csv(result, cfg, b))
+    block = urnsim.sim_block(result, cfg)
+    if k_min is not None:
+        try:
+            block += f"tail_slope_kmin_{k_min}: {urnsim.empirical_tail_slope(result, k_min)!r}\n"
+        except InsufficientDataError as exc:
+            block += f"tail_slope_kmin_{k_min}: unavailable ({exc})\n"
+    _write(out / "sim_summary.txt", block)
+    if fmt == "json":
+        payload = {
+            "config": dataclasses.asdict(cfg),
+            "n_urns": result.n_urns,
+            "total_balls": result.total_balls,
+            "predicted_b": b,
+            "empirical_pmf": {str(k): v for k, v in result.empirical_pmf.items()},
+        }
+        _write_json(out / "sim_result.json", payload)
+    return result, ["sim_hist.csv", "sim_summary.txt"]
+
+
+def _rank_series(args) -> list[float]:
+    if args.target:
+        return [p.s if args.target == "s" else p.k for p in read_sk_points(args.input)]
+    return read_value_column(args.input, args.value_column)
+
+
+def cmd_stats(args) -> int:
+    _check_counts(args.min_n, args.bins)
+    dataset = parse_city_csv(args.input, _column_map(args))
+    groups = moments.group_sk_points(dataset, min_n=args.min_n)
+    _group_stats(Path(args.out_dir), groups, args.bins, args.format)
+    return 0
 
 
 def cmd_fit(args) -> int:
     out = Path(args.out_dir)
-    model = args.model
-    if model.startswith("rank:"):
-        variant = model.split(":", 1)[1]
-        values = _rank_series_from_args(args)
-        _run_rank_fit(values, variant, out, f"rank_{variant}", args.format)
-        return EXIT_OK
-    points = _read_sk_points(args.input)
-    if model == "quadratic":
-        result = ksfit.fit_quadratic(points)
-    elif model == "power":
-        result = ksfit.fit_power(points)
+    if args.model.startswith("rank:"):
+        variant = args.model.split(":", 1)[1]
+        _rank_fit(out, _rank_series(args), variant, f"rank_{variant}", args.format)
     else:
-        raise SchemaError(f"unknown model {model!r}")
-    stem = f"fit_{model}"
-    _write(out / f"{stem}.txt", ksfit.result_block(result))
-    _write(out / f"{stem}_residuals.csv", ksfit.residuals_csv(result))
-    _write(out / f"{stem}_curve.csv", ksfit.curve_csv(result))
-    if args.format == "json":
-        _write_json(out / f"{stem}.json", dataclasses.asdict(result))
-    return EXIT_OK
+        _ks_fit(out, read_sk_points(args.input), args.model, args.format)
+    return 0
 
 
 def cmd_rank_fit(args) -> int:
-    out = Path(args.out_dir)
-    values = _rank_series_from_args(args)
-    target = getattr(args, "target", None)
-    stem = f"rank_{args.variant}" + (f"_{target}" if target else "")
-    _run_rank_fit(values, args.variant, out, stem, args.format)
-    return EXIT_OK
+    stem = f"rank_{args.variant}" + (f"_{args.target}" if args.target else "")
+    _rank_fit(Path(args.out_dir), _rank_series(args), args.variant, stem, args.format)
+    return 0
 
 
 def cmd_beta_calibrate(args) -> int:
     out = Path(args.out_dir)
-    cal = betadist.calibrate_from_sk(args.skew, args.kurt)
-    _write(out / "calibration.txt", betadist.calibration_block(cal))
-    _write(out / "beta_cdf.csv", betadist.cdf_curve_csv(cal.selected))
-    if args.format == "json":
-        payload = dataclasses.asdict(cal)
-        _write_json(out / "calibration.json", payload)
-    return EXIT_OK
+    _calibrate(out, args.skew, args.kurt, "calibration", "beta_cdf.csv", args.format)
+    return 0
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out_dir)
     config_file = _read_config(args.config)
     cfg = urnsim.UrnConfig(
         k0=_resolve(args.k0, config_file, "k0", 1, int),
@@ -262,67 +251,19 @@ def cmd_simulate(args) -> int:
         seed=_resolve(args.seed, config_file, "seed", 0, int),
     )
     k_min = _resolve(args.k_min, config_file, "k_min", 10, int)
-    result = urnsim.run(cfg)
-    try:
-        b = urnsim.predicted_b(cfg)
-    except (UnsupportedDerivationError, ValueError):
-        b = None
-    _write(out / "sim_hist.csv", urnsim.sim_csv(result, cfg, b))
-    block = urnsim.sim_block(result, cfg)
-    try:
-        slope = urnsim.empirical_tail_slope(result, k_min)
-        block += f"tail_slope_kmin_{k_min}: {slope!r}\n"
-    except InsufficientDataError as exc:
-        block += f"tail_slope_kmin_{k_min}: unavailable ({exc})\n"
-    _write(out / "sim_summary.txt", block)
-    if args.format == "json":
-        payload = {
-            "config": dataclasses.asdict(cfg),
-            "n_urns": result.n_urns,
-            "total_balls": result.total_balls,
-            "predicted_b": b,
-            "empirical_pmf": {str(k): v for k, v in result.empirical_pmf.items()},
-        }
-        _write_json(out / "sim_result.json", payload)
-    return EXIT_OK
-
-
-class _Sections:
-    def __init__(self):
-        self.rows: list[tuple[str, str, list[str]]] = []
-        self.failed = False
-
-    def ok(self, name: str, files: list[str]) -> None:
-        self.rows.append((name, "ok", files))
-
-    def skipped(self, name: str, reason: str, *, failure: bool = True) -> None:
-        self.rows.append((name, f"skipped: {reason}", []))
-        if failure:
-            self.failed = True
-
-
-def _pipeline_beta_section(name, s, k, out, sections, files_prefix):
-    try:
-        cal = betadist.calibrate_from_sk(s, k)
-    except (NotBetaRepresentableError, InfeasibleMomentPairError) as exc:
-        sections.skipped(name, str(exc))
-        return
-    block_file = f"{files_prefix}.txt"
-    cdf_file = f"{files_prefix}_cdf.csv"
-    _write(out / block_file, betadist.calibration_block(cal))
-    _write(out / cdf_file, betadist.cdf_curve_csv(cal.selected))
-    sections.ok(name, [block_file, cdf_file])
+    _simulate(Path(args.out_dir), cfg, k_min, args.format)
+    return 0
 
 
 def cmd_pipeline(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config_file = _read_config(args.config)
     min_n = _resolve(args.min_n, config_file, "min_n", 4, int)
     bins = _resolve(args.bins, config_file, "bins", 10, int)
     seed = _resolve(args.seed, config_file, "seed", 0, int)
+    _check_counts(min_n, bins)
     do_sim = args.simulate or config_file.get("simulate", "0") in ("1", "true", "yes")
-    sections = _Sections()
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     if args.synthetic:
         dataset = synthetic.synthetic_grouped_dataset(seed=seed)
@@ -333,106 +274,47 @@ def cmd_pipeline(args) -> int:
         dataset = parse_city_csv(args.input, _column_map(args))
         source = str(args.input)
 
+    sections: list[tuple[str, str, list[str]]] = []
+
+    def run(name: str, unmet: str, writer, *inputs):
+        """Record ``ok`` and the files ``writer(*inputs)`` wrote, or why the
+        section was skipped: ``unmet`` (a missing input) or the error."""
+        result, files, status = None, [], f"skipped: {unmet}"
+        if not unmet:
+            try:
+                result, files = writer(*inputs)
+                status = "ok"
+            except InternalCheckError:
+                raise
+            except (SkbetaError, ValueError) as exc:
+                status = f"skipped: {exc}"
+        sections.append((name, status, files))
+        return result
+
     all_values = [v for vals in dataset.groups.values() for v in vals]
-    try:
-        pooled = moments.summarize(all_values)
-        _write(out / "pooled_summary.txt", moments.summary_block({"value": pooled}))
-        sections.ok("pooled_stats", ["pooled_summary.txt"])
-    except SkbetaError as exc:
-        sections.skipped("pooled_stats", str(exc))
+    run("pooled_stats", "", _pooled_stats, out, all_values)
 
-    points: list[SKPoint] = []
     try:
-        group_result = moments.group_sk_points(dataset, min_n=min_n)
-        points = list(group_result.points)
-        skipped_rows = group_result.skipped
+        groups = moments.group_sk_points(dataset, min_n=min_n)
     except EmptyResultError as exc:
-        skipped_rows = getattr(exc, "skipped", ())
-        sections.skipped("group_stats", "insufficient group sizes")
-    skipped_lines = ["group,n,reason"] + [
-        f"{g.group_key},{g.n},{g.reason}" for g in skipped_rows
-    ]
-    _write(out / "skipped_groups.csv", "\n".join(skipped_lines) + "\n")
+        groups = moments.GroupSKResult((), exc.skipped)
+        _write_skipped(out, exc.skipped)
+    points = groups.points
+    no_points = "" if points else "insufficient group sizes"
+    run("group_stats", no_points, _group_stats, out, groups, bins, "csv")
+    series = (("s", [p.s for p in points]), ("k", [p.k for p in points]))
 
-    if points:
-        _write(out / "sk_points.csv", moments.sk_points_to_csv(points))
-        s_vals = [p.s for p in points]
-        k_vals = [p.k for p in points]
-        sum_s, note_s = _summary_or_note(s_vals, "S")
-        sum_k, note_k = _summary_or_note(k_vals, "K")
-        if sum_s is not None and sum_k is not None:
-            _write(out / "summary.txt", moments.summary_block({"S": sum_s, "K": sum_k}))
-        else:
-            _write(out / "summary.txt", note_s + note_k)
-        _write(out / "hist_s.csv", moments.histogram_to_csv(moments.histogram(s_vals, bins)))
-        _write(out / "hist_k.csv", moments.histogram_to_csv(moments.histogram(k_vals, bins)))
-        sections.ok(
-            "group_stats",
-            ["sk_points.csv", "skipped_groups.csv", "summary.txt", "hist_s.csv", "hist_k.csv"],
-        )
-
-        for model, fit_fn in (("quadratic", ksfit.fit_quadratic), ("power", ksfit.fit_power)):
-            name = f"fit_{model}"
-            try:
-                result = fit_fn(points)
-            except (SkbetaError, ValueError) as exc:
-                sections.skipped(name, str(exc))
-                continue
-            _write(out / f"{name}.txt", ksfit.result_block(result))
-            _write(out / f"{name}_residuals.csv", ksfit.residuals_csv(result))
-            _write(out / f"{name}_curve.csv", ksfit.curve_csv(result))
-            sections.ok(name, [f"{name}.txt", f"{name}_residuals.csv", f"{name}_curve.csv"])
-
-        rank_fits: dict[str, ranksize.RankFitResult] = {}
-        for target, values in (("s", s_vals), ("k", k_vals)):
-            name = f"rank_{target}"
-            try:
-                rank_fits[target] = _run_rank_fit(
-                    values, "lav4", out, name, args.format
-                )
-                sections.ok(name, [f"{name}.txt", f"{name}_series.csv"])
-            except (SkbetaError, ValueError) as exc:
-                sections.skipped(name, str(exc))
-
-        for target, values in (("s", s_vals), ("k", k_vals)):
-            name = f"beta_moments_{target}"
-            try:
-                sk = moments.shape_moments(values)
-            except SkbetaError as exc:
-                sections.skipped(name, str(exc))
-                continue
-            _pipeline_beta_section(name, sk[0], sk[1], out, sections, name)
-
-        for target in ("s", "k"):
-            name = f"beta_rank_{target}"
-            if target not in rank_fits:
-                sections.skipped(name, "lav4 fit unavailable")
-                continue
-            try:
-                params = ranksize.rank_fit_to_beta(rank_fits[target])
-            except (UnsupportedVariantError, ValueError) as exc:
-                sections.skipped(name, str(exc))
-                continue
-            block = (
-                f"a: {params.a!r}\n"
-                f"b: {params.b!r}\n"
-                "source: lav4 exponent correspondence (a = xi + 1, b = gamma + 1)\n"
-            )
-            _write(out / f"{name}.txt", block)
-            _write(out / f"{name}_cdf.csv", betadist.cdf_curve_csv(params))
-            sections.ok(name, [f"{name}.txt", f"{name}_cdf.csv"])
-    else:
-        for name in (
-            "fit_quadratic",
-            "fit_power",
-            "rank_s",
-            "rank_k",
-            "beta_moments_s",
-            "beta_moments_k",
-            "beta_rank_s",
-            "beta_rank_k",
-        ):
-            sections.skipped(name, "insufficient group sizes")
+    for model in ("quadratic", "power"):
+        run(f"fit_{model}", no_points, _ks_fit, out, points, model, "csv")
+    rank_fits = {
+        t: run(f"rank_{t}", no_points, _rank_fit, out, vals, "lav4", f"rank_{t}", args.format)
+        for t, vals in series
+    }
+    for t, vals in series:
+        run(f"beta_moments_{t}", no_points, _beta_moments, out, vals, f"beta_moments_{t}")
+    for t, _ in series:
+        unmet = no_points or ("" if rank_fits[t] else "lav4 fit unavailable")
+        run(f"beta_rank_{t}", unmet, _beta_rank, out, rank_fits[t], f"beta_rank_{t}")
 
     if do_sim:
         cfg = urnsim.UrnConfig(
@@ -442,17 +324,11 @@ def cmd_pipeline(args) -> int:
             steps=_resolve(None, config_file, "sim_steps", 20000, int),
             seed=seed,
         )
-        result = urnsim.run(cfg)
-        try:
-            b = urnsim.predicted_b(cfg)
-        except (UnsupportedDerivationError, ValueError):
-            b = None
-        _write(out / "sim_hist.csv", urnsim.sim_csv(result, cfg, b))
-        _write(out / "sim_summary.txt", urnsim.sim_block(result, cfg))
-        sections.ok("simulate", ["sim_hist.csv", "sim_summary.txt"])
+        run("simulate", "", _simulate, out, cfg, None, "csv")
     else:
-        sections.skipped("simulate", "not requested", failure=False)
+        run("simulate", "not requested", None)
 
+    failed = any(status not in ("ok", "skipped: not requested") for _, status, _ in sections)
     manifest = [
         f"skbeta_version: {__version__}",
         f"source: {source}",
@@ -468,28 +344,17 @@ def cmd_pipeline(args) -> int:
         "",
         "sections:",
     ]
-    for name, status, files in sections.rows:
+    for name, status, files in sections:
         manifest.append(f"  {name}: {status}")
-        for f in files:
-            manifest.append(f"    - {f}")
-    status_line = "partial (see skipped sections)" if sections.failed else "complete"
-    manifest.append("")
-    manifest.append(f"status: {status_line}")
+        manifest.extend(f"    - {f}" for f in files)
+    status_line = "partial (see skipped sections)" if failed else "complete"
+    manifest += ["", f"status: {status_line}"]
     _write(out / "manifest.txt", "\n".join(manifest) + "\n")
     if args.format == "json":
-        _write_json(
-            out / "manifest.json",
-            {
-                "version": __version__,
-                "source": source,
-                "seed": seed,
-                "status": status_line,
-                "sections": [
-                    {"name": n, "status": s, "files": f} for n, s, f in sections.rows
-                ],
-            },
-        )
-    return EXIT_EMPTY if sections.failed else EXIT_OK
+        meta = {"version": __version__, "source": source, "seed": seed, "status": status_line}
+        rows = [{"name": n, "status": s, "files": f} for n, s, f in sections]
+        _write_json(out / "manifest.json", {**meta, "sections": rows})
+    return EmptyResultError.exit_code if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,10 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    variants = tuple(v.value for v in ranksize.RankVariant)
 
-    def add_common(p):
+    def add_common(p, func):
         p.add_argument("--out-dir", required=True)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
 
     p_stats = sub.add_parser("stats", help="per-group S/K statistics from microdata")
     p_stats.add_argument("--input", required=True)
@@ -514,34 +381,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--city-column", default=None)
     p_stats.add_argument("--min-n", type=int, default=4)
     p_stats.add_argument("--bins", type=int, default=10)
-    add_common(p_stats)
-    p_stats.set_defaults(func=cmd_stats)
+    add_common(p_stats, cmd_stats)
 
     p_fit = sub.add_parser("fit", help="fit the K-S relation or a rank model")
     p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--model", required=True, help="quadratic | power | rank:<variant>")
+    models = ("quadratic", "power") + tuple(f"rank:{v}" for v in variants)
+    p_fit.add_argument("--model", required=True, choices=models)
     p_fit.add_argument("--target", choices=("s", "k"), default=None)
     p_fit.add_argument("--value-column", default="value")
-    add_common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
+    add_common(p_fit, cmd_fit)
 
     p_rank = sub.add_parser("rank-fit", help="fit a rank-size model to a series")
     p_rank.add_argument("--input", required=True)
-    p_rank.add_argument(
-        "--variant",
-        choices=tuple(v.value for v in ranksize.RankVariant),
-        default="lav4",
-    )
+    p_rank.add_argument("--variant", choices=variants, default="lav4")
     p_rank.add_argument("--target", choices=("s", "k"), default=None)
     p_rank.add_argument("--value-column", default="value")
-    add_common(p_rank)
-    p_rank.set_defaults(func=cmd_rank_fit)
+    add_common(p_rank, cmd_rank_fit)
 
     p_beta = sub.add_parser("beta-calibrate", help="invert (S, K) to Beta shapes")
     p_beta.add_argument("--skew", type=float, required=True)
     p_beta.add_argument("--kurt", type=float, required=True)
-    add_common(p_beta)
-    p_beta.set_defaults(func=cmd_beta_calibrate)
+    add_common(p_beta, cmd_beta_calibrate)
 
     p_sim = sub.add_parser("simulate", help="run the preferential-attachment urn")
     p_sim.add_argument("--k0", type=int, default=None)
@@ -551,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--k-min", type=int, default=None)
     p_sim.add_argument("--config", default=None)
-    add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    add_common(p_sim, cmd_simulate)
 
     p_pipe = sub.add_parser("pipeline", help="full analysis chain into one directory")
     p_pipe.add_argument("--input", default=None)
@@ -565,31 +424,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--seed", type=int, default=None)
     p_pipe.add_argument("--config", default=None)
     p_pipe.add_argument("--simulate", action="store_true")
-    add_common(p_pipe)
-    p_pipe.set_defaults(func=cmd_pipeline)
+    add_common(p_pipe, cmd_pipeline)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ParseError, IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (EmptyInputError, EmptyResultError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except _FIT_DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT_DOMAIN
+    except SkbetaError as exc:
+        label = "internal error" if isinstance(exc, InternalCheckError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except ValueError as exc:  # violated preconditions (too few points, bad flags)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT_DOMAIN
-    except InternalCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return SkbetaError.exit_code
 
 
 def entry() -> None:

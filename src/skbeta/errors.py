@@ -1,24 +1,40 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the exit code the command line returns for it: 2 for
+schema, parse and integrity errors, 3 for empty input or an empty result,
+5 for a failed internal check, and 4 (the base default) for the rest.
+"""
 
 
 class SkbetaError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 4
+
 
 class SchemaError(SkbetaError):
     """A required column is missing from an input file."""
 
+    exit_code = 2
+
 
 class ParseError(SkbetaError):
-    """A cell could not be parsed; the message carries the line number."""
+    """An input file or setting could not be read or parsed; the message
+    carries the line number where there is one."""
+
+    exit_code = 2
 
 
 class EmptyInputError(SkbetaError):
     """An input file or value sequence contained no usable data."""
 
+    exit_code = 3
+
 
 class IntegrityError(SkbetaError):
     """A fixture failed a strict integrity check (e.g. row count)."""
+
+    exit_code = 2
 
 
 class DegenerateSampleError(SkbetaError):
@@ -35,6 +51,8 @@ class UndefinedShapeError(ZeroVarianceError):
 
 class EmptyResultError(SkbetaError):
     """Every group was filtered out; there is nothing to report."""
+
+    exit_code = 3
 
 
 class SingularDesignError(SkbetaError):
@@ -84,3 +102,5 @@ class InsufficientDataError(SkbetaError):
 
 class InternalCheckError(SkbetaError):
     """An internal cross-check failed; indicates a bug, not bad input."""
+
+    exit_code = 5

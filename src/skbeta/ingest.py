@@ -2,7 +2,9 @@
 
 Microdata schema: header ``province,city,value`` (comma default, tab
 accepted), UTF-8, decimal-point numerals.  Province fixture schema:
-``province,ati_eur,population,n_cities`` with ATI in absolute EUR.
+``province,ati_eur,population,n_cities`` with ATI in absolute EUR.  Every
+delimited file, the ``group,s,k[,n]`` point files and single value columns
+included, is read by ``_read_rows``.
 """
 
 from __future__ import annotations
@@ -10,15 +12,19 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import EmptyInputError, IntegrityError, ParseError, SchemaError
+from .moments import SKPoint
 
 __all__ = [
     "CityRecord",
     "GroupedDataset",
     "ProvinceSummaryRow",
+    "read_text",
     "parse_city_csv",
+    "read_sk_points",
+    "read_value_column",
     "write_grouped_csv",
     "load_province_summary",
     "load_bundled_province_summary",
@@ -75,23 +81,47 @@ class ProvinceSummaryRow:
 
 
 def _detect_delimiter(header_line: str) -> str:
-    if "," in header_line:
-        return ","
-    if "\t" in header_line:
-        return "\t"
-    return ","
+    return "\t" if "\t" in header_line and "," not in header_line else ","
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]], str]:
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.strip():
+def read_text(path) -> str:
+    """The UTF-8 text of a file; a missing, unreadable or non-UTF-8 file is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+
+
+def _read_rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header, and an iterator over ``(line number, cells)`` of
+    the later rows, parsed as they are consumed.  All-blank rows are skipped;
+    line numbers count every physical line, blank ones included.
+    """
+    lines = read_text(path).splitlines()
+    reader = csv.reader(lines, delimiter=_detect_delimiter(lines[0] if lines else ""))
+    rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
+    first = next(rows, None)
+    if first is None:
         raise EmptyInputError(f"{path}: file is empty")
-    first_line = text.splitlines()[0]
-    delim = _detect_delimiter(first_line)
-    reader = csv.reader(text.splitlines(), delimiter=delim)
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    header = [h.strip() for h in rows[0]]
-    return header, rows[1:], delim
+    return [h.strip() for h in first[1]], rows
+
+
+def _columns(path, header: list[str], names) -> list[int]:
+    for name in names:
+        if name not in header:
+            raise SchemaError(f"{path}: missing column {name!r} in header {header}")
+    return [header.index(name) for name in names]
+
+
+def _records(path, body, make) -> list:
+    """``make(cells)`` for each row; a bad or short row is a line-numbered ParseError."""
+    out = []
+    for lineno, row in body:
+        try:
+            out.append(make(row))
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    return out
 
 
 def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> GroupedDataset:
@@ -102,7 +132,7 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
     The ``city`` role is informative only and may be left unmapped, in
     which case city names are synthesized from the line number.
     """
-    header, body, _ = _read_rows(path)
+    header, body = _read_rows(path)
     if column_map is None:
         column_map = {role: role for role in _ROLES}
     role_to_name = {}
@@ -118,13 +148,11 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
         if name not in header:
             raise SchemaError(f"missing column {name!r} (role {role!r}) in header {header}")
         indices[role] = header.index(name)
-    if not body:
-        raise EmptyInputError(f"{path}: no data rows")
 
     groups: dict[str, list[float]] = {}
     needed = max(indices.values())
     city_idx = indices.get("city")
-    for lineno, row in enumerate(body, start=2):
+    for lineno, row in body:
         if len(row) <= needed:
             raise ParseError(f"{path}: line {lineno}: expected {needed + 1} columns, got {len(row)}")
         province = row[indices["province"]].strip()
@@ -139,10 +167,38 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
         groups.setdefault(record.province_code, []).append(record.value)
+    if not groups:
+        raise EmptyInputError(f"{path}: no data rows")
     return GroupedDataset(
         groups={k: tuple(v) for k, v in groups.items()},
         value_label=role_to_name["value"],
     )
+
+
+def read_sk_points(path) -> list[SKPoint]:
+    """Points of a ``group,s,k[,n]`` file such as the ``sk_points.csv`` of ``stats``."""
+    header, body = _read_rows(path)
+    g, s, k = _columns(path, header, ("group", "s", "k"))
+    n = header.index("n") if "n" in header else None
+
+    def point(row):
+        size = int(row[n]) if n is not None and row[n] else 0
+        return SKPoint(row[g], float(row[s]), float(row[k]), size)
+
+    points = _records(path, body, point)
+    if not points:
+        raise EmptyInputError(f"{path}: no data rows")
+    return points
+
+
+def read_value_column(path, column: str) -> list[float]:
+    """The values of one numeric column, in file order."""
+    header, body = _read_rows(path)
+    (i,) = _columns(path, header, (column,))
+    values = _records(path, body, lambda row: float(row[i]))
+    if not values:
+        raise EmptyInputError(f"{path}: no data rows")
+    return values
 
 
 def write_grouped_csv(dataset: GroupedDataset, path) -> None:
@@ -160,25 +216,13 @@ def write_grouped_csv(dataset: GroupedDataset, path) -> None:
 
 def load_province_summary(path, strict: bool = False) -> list[ProvinceSummaryRow]:
     """Load a province summary file; ``strict`` enforces the 110-row count."""
-    header, body, _ = _read_rows(path)
-    expected = ["province", "ati_eur", "population", "n_cities"]
-    for col in expected:
-        if col not in header:
-            raise SchemaError(f"missing column {col!r} in header {header}")
-    idx = {col: header.index(col) for col in expected}
-    rows = []
-    for lineno, row in enumerate(body, start=2):
-        try:
-            rows.append(
-                ProvinceSummaryRow(
-                    province_code=row[idx["province"]].strip(),
-                    ati_total=float(row[idx["ati_eur"]]),
-                    n_inhab=int(row[idx["population"]]),
-                    n_cities=int(row[idx["n_cities"]]),
-                )
-            )
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    header, body = _read_rows(path)
+    p, a, pop, n = _columns(path, header, ("province", "ati_eur", "population", "n_cities"))
+    rows = _records(
+        path,
+        body,
+        lambda row: ProvinceSummaryRow(row[p].strip(), float(row[a]), int(row[pop]), int(row[n])),
+    )
     if strict and len(rows) != EXPECTED_PROVINCE_ROWS:
         raise IntegrityError(
             f"{path}: expected {EXPECTED_PROVINCE_ROWS} province rows, got {len(rows)}"

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numeric import golden_min, r_squared
 from .errors import FitDomainError, SingularDesignError, UndefinedHelpVariableError
 from .moments import SKPoint
 
@@ -32,8 +33,6 @@ __all__ = [
 ]
 
 NU_BRACKET = (0.5, 4.0)
-_GOLDEN_TOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,6 @@ def _ols(x: np.ndarray, y: np.ndarray):
     return coef, resid, float(resid @ resid), xtx
 
 
-def _r_squared(y: np.ndarray, sse: float) -> float:
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
-        return 1.0 if sse <= 1e-300 else 0.0
-    return min(max(1.0 - sse / sst, 0.0), 1.0)
-
-
 def fit_quadratic(points) -> KSFitResult:
     """Ordinary least squares of K on S^2 (model K = p S^2 + q)."""
     pts = _canonical(points)
@@ -100,7 +92,7 @@ def fit_quadratic(points) -> KSFitResult:
         se_p=float(math.sqrt(max(cov[0, 0], 0.0))),
         se_q=float(math.sqrt(max(cov[1, 1], 0.0))),
         se_nu=0.0,
-        r_squared=_r_squared(y, sse),
+        r_squared=r_squared(y, sse),
         sse=sse,
         n_points=n,
         residuals=tuple(float(r) for r in resid),
@@ -136,21 +128,7 @@ def fit_power(points) -> KSFitResult:
     y = np.array([p.k for p in pts])
 
     lo, hi = NU_BRACKET
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = _profile_sse(c, s, y)
-    fd = _profile_sse(d, s, y)
-    while b - a > _GOLDEN_TOL:
-        if fc <= fd:  # ties move left: lowest-nu tie breaking
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = _profile_sse(c, s, y)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = _profile_sse(d, s, y)
-    nu = 0.5 * (a + b)
+    nu = golden_min(lambda v: _profile_sse(v, s, y), lo, hi)
 
     warnings = []
     if nu - lo < 1e-6 or hi - nu < 1e-6:
@@ -178,7 +156,7 @@ def fit_power(points) -> KSFitResult:
         se_p=float(ses[0]),
         se_q=float(ses[1]),
         se_nu=float(ses[2]),
-        r_squared=_r_squared(y, sse),
+        r_squared=r_squared(y, sse),
         sse=sse,
         n_points=n,
         residuals=tuple(float(r) for r in resid),

@@ -179,16 +179,18 @@ def group_sk_points(data, min_n: int = 4) -> GroupSKResult:
     """One SKPoint per group with at least ``min_n`` values.
 
     ``data`` may be a GroupedDataset or any mapping group_key -> values.
-    Groups below the threshold (or with zero variance) are listed in the
-    skipped report; raises EmptyResultError when nothing survives.
+    Groups below the threshold (never below 2, the fewest values with a
+    shape) or with zero variance are listed in the skipped report; raises
+    EmptyResultError when nothing survives.
     """
     groups: Mapping[str, Sequence[float]] = getattr(data, "groups", data)
+    floor = max(min_n, 2)
     points: list[SKPoint] = []
     skipped: list[SkippedGroup] = []
     for key, vals in groups.items():
         n = len(vals)
-        if n < min_n:
-            skipped.append(SkippedGroup(key, n, f"fewer than {min_n} values"))
+        if n < floor:
+            skipped.append(SkippedGroup(key, n, f"fewer than {floor} values"))
             continue
         try:
             s, k = shape_moments(vals)

@@ -22,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._numeric import golden_min, r_squared
 from .betadist import BetaParams
 from .errors import EmptyInputError, FitDomainError, UnsupportedVariantError
 
@@ -41,8 +42,6 @@ __all__ = [
 ]
 
 PSI_BRACKET = (0.0, 2.0)  # open at 0
-_GOLDEN_TOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class RankVariant(str, Enum):
@@ -223,20 +222,7 @@ def _initial_theta(variant, r, y, n):
             design = np.column_stack([ones, -np.log(n - r + psi), ln_r])
             return _logspace_ols(design, ln_y)[1]
 
-        a, b = 1e-8, PSI_BRACKET[1]
-        c = b - _INV_PHI * (b - a)
-        d = a + _INV_PHI * (b - a)
-        fc, fd = profile(c), profile(d)
-        while b - a > _GOLDEN_TOL:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_PHI * (b - a)
-                fc = profile(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INV_PHI * (b - a)
-                fd = profile(d)
-        psi = 0.5 * (a + b)
+        psi = golden_min(profile, 1e-8, PSI_BRACKET[1])
         coef, _ = _logspace_ols(
             np.column_stack([ones, -np.log(n - r + psi), ln_r]), ln_y
         )
@@ -332,15 +318,10 @@ def fit_rank_model(values, variant) -> RankFitResult:
     params = (math.exp(theta[0]),) + tuple(float(v) for v in theta[1:])
     spec = RankModelSpec(variant, params)
     ses = _raw_std_errors(variant, theta, r, y, n, sse)
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0.0:
-        r2 = 1.0 if sse <= 1e-300 else 0.0
-    else:
-        r2 = min(max(1.0 - sse / sst, 0.0), 1.0)
     return RankFitResult(
         spec=spec,
         std_errors=ses,
-        r_squared=r2,
+        r_squared=r_squared(y, sse),
         sse=sse,
         n=n,
         converged=converged,

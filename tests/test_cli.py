@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from skbeta import betadist
 from skbeta.cli import main
-from skbeta.ingest import bundled_fixture_path
-from skbeta.synthetic import lav4_series
+from skbeta.errors import InternalCheckError, SkbetaError
+from skbeta.ingest import bundled_fixture_path, write_grouped_csv
+from skbeta.synthetic import lav4_series, synthetic_grouped_dataset
 
 MICRO = (
     "province,city,value\n"
@@ -225,3 +227,133 @@ class TestPipeline:
         assert rc == 0
         assert (out / "sim_summary.txt").exists()
         assert "simulate: ok" in (out / "manifest.txt").read_text()
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+@pytest.mark.parametrize("exc_type", sorted(_all_subclasses(SkbetaError), key=lambda c: c.__name__))
+def test_every_error_type_has_its_exit_code(tmp_path, monkeypatch, capsys, exc_type):
+    assert exc_type.exit_code in (2, 3, 4, 5)
+
+    def fail(s, k):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(betadist, "calibrate_from_sk", fail)
+    rc = run_cli("beta-calibrate", "--skew", "0", "--kurt", "1.8", "--out-dir", str(tmp_path))
+    assert rc == exc_type.exit_code
+    assert capsys.readouterr().err.endswith("error: boom\n")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "--input", "{missing}"),
+            ("fit", "--input", "{missing}", "--model", "power"),
+            ("rank-fit", "--input", "{missing}"),
+            ("simulate", "--config", "{missing}"),
+            ("pipeline", "--input", "{missing}"),
+            ("pipeline", "--synthetic", "--config", "{missing}"),
+        ],
+    )
+    def test_missing_file_exits_2(self, tmp_path, capsys, argv):
+        argv = [a.format(missing=tmp_path / "absent") for a in argv]
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "o")) == 2
+        assert "cannot read file" in capsys.readouterr().err
+
+    def test_non_utf8_input_exits_2(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_bytes("province,city,value\nAA,S\xe3o,1\n".encode("latin-1"))
+        assert run_cli("stats", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 2
+
+    def test_delimiter_only_input_exits_3(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text(",,\n,,\n")
+        assert run_cli("stats", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 3
+
+    def test_bad_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("steps = abc\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+        assert "'steps'" in capsys.readouterr().err
+
+    def test_blank_line_counted_in_sk_points_error(self, tmp_path, capsys):
+        src = tmp_path / "skp.csv"
+        src.write_text("group,s,k,n\na,0.0,3.0,9\n\nb,x,5.0,9\n")
+        out = str(tmp_path / "o")
+        assert run_cli("fit", "--input", str(src), "--model", "quadratic", "--out-dir", out) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_zero_bins_exits_2_before_output(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text(MICRO)
+        out = tmp_path / "o"
+        assert run_cli("stats", "--input", str(src), "--bins", "0", "--out-dir", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["bins = 0", "min_n = 0"])
+    def test_pipeline_zero_count_in_config_exits_2(self, tmp_path, line):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o"
+        rc = run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 2
+        assert not out.exists()
+
+    def test_unknown_rank_model_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as ei:
+            run_cli("fit", "--input", "x.csv", "--model", "rank:foo", "--out-dir", str(tmp_path))
+        assert ei.value.code == 2
+
+
+class TestMinNOne:
+    def test_stats_skips_single_value_group(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text(MICRO + "CC,e1,5\n")
+        out = tmp_path / "out"
+        assert run_cli("stats", "--input", str(src), "--min-n", "1", "--out-dir", str(out)) == 0
+        assert (out / "skipped_groups.csv").read_text() == (
+            "group,n,reason\nCC,1,fewer than 2 values\n"
+        )
+        assert len((out / "sk_points.csv").read_text().splitlines()) == 3
+
+    def test_pipeline_config_min_n_1(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text(MICRO + "CC,e1,5\n")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("min_n = 1\n")
+        out = tmp_path / "out"
+        rc = run_cli("pipeline", "--input", str(src), "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 3  # two groups are too few for the fits
+        manifest = (out / "manifest.txt").read_text()
+        assert "group_stats: ok" in manifest
+        assert "CC,1,fewer than 2 values" in (out / "skipped_groups.csv").read_text()
+
+
+class TestSectionRunner:
+    def test_internal_check_error_in_a_section_exits_5(self, tmp_path, monkeypatch, capsys):
+        def fail(s, k):
+            raise InternalCheckError("round trip did not close")
+
+        monkeypatch.setattr(betadist, "calibrate_from_sk", fail)
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--synthetic", "--seed", "0", "--out-dir", str(out)) == 5
+        assert capsys.readouterr().err == "internal error: round trip did not close\n"
+        assert not (out / "manifest.txt").exists()
+
+    def test_stats_and_pipeline_write_identical_group_files(self, tmp_path):
+        src = tmp_path / "m.csv"
+        write_grouped_csv(synthetic_grouped_dataset(seed=5), src)
+        a, b = tmp_path / "stats", tmp_path / "pipe"
+        assert run_cli("stats", "--input", str(src), "--out-dir", str(a)) == 0
+        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(b)) in (0, 3)
+        names = ["sk_points.csv", "skipped_groups.csv", "summary.txt", "hist_s.csv", "hist_k.csv"]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert "group_stats: ok\n" + "".join(f"    - {n}\n" for n in names) in (
+            b / "manifest.txt"
+        ).read_text()

@@ -16,6 +16,8 @@ from skbeta.ingest import (
     load_bundled_province_summary,
     load_province_summary,
     parse_city_csv,
+    read_sk_points,
+    read_value_column,
     write_grouped_csv,
 )
 
@@ -59,6 +61,10 @@ class TestParseCityCsv:
         path = write(tmp_path, "m.csv", "province,city,value\nAA,c1,1\nAA,c2,oops\n")
         with pytest.raises(ParseError, match="line 3"):
             parse_city_csv(path)
+        # a blank line still counts as a line of the file
+        path = write(tmp_path, "b.csv", "province,city,value\nAA,c1,1\n\nAA,c2,oops\n")
+        with pytest.raises(ParseError, match="line 4"):
+            parse_city_csv(path)
 
     def test_negative_value_rejected(self, tmp_path):
         path = write(tmp_path, "m.csv", "province,city,value\nAA,c1,-4\n")
@@ -67,6 +73,21 @@ class TestParseCityCsv:
 
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "m.csv", "")
+        with pytest.raises(EmptyInputError):
+            parse_city_csv(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read"):
+            parse_city_csv(tmp_path / "absent.csv")
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("province,city,value\nAA,S\xe3o,1\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="utf-8"):
+            parse_city_csv(path)
+
+    def test_delimiters_only(self, tmp_path):
+        path = write(tmp_path, "m.csv", ",,\n,,\n")
         with pytest.raises(EmptyInputError):
             parse_city_csv(path)
 
@@ -191,6 +212,45 @@ class TestProvinceFixture:
         path.write_text("province,ati_eur,population\nAA,1,2\n")
         with pytest.raises(SchemaError, match="n_cities"):
             load_province_summary(path)
+
+
+class TestPointAndColumnReaders:
+    def test_sk_points(self, tmp_path):
+        path = write(tmp_path, "p.csv", "group,s,k,n\na,0.5,2.5,9\nb,1.0,4.0,\n")
+        points = read_sk_points(path)
+        assert [(p.group_key, p.s, p.k, p.n) for p in points] == [
+            ("a", 0.5, 2.5, 9),
+            ("b", 1.0, 4.0, 0),
+        ]
+
+    def test_sk_points_without_n_column(self, tmp_path):
+        path = write(tmp_path, "p.csv", "group,s,k\na,0.5,2.5\n")
+        assert read_sk_points(path)[0].n == 0
+
+    def test_sk_points_line_number_after_blank_line(self, tmp_path):
+        path = write(tmp_path, "p.csv", "group,s,k,n\na,0.5,2.5,9\n\nb,x,4.0,9\n")
+        with pytest.raises(ParseError, match="line 4"):
+            read_sk_points(path)
+
+    def test_sk_points_missing_column(self, tmp_path):
+        path = write(tmp_path, "p.csv", "group,s\na,0.5\n")
+        with pytest.raises(SchemaError, match="'k'"):
+            read_sk_points(path)
+
+    def test_value_column(self, tmp_path):
+        path = write(tmp_path, "v.csv", "value\n3\n\n1.5\n")
+        assert read_value_column(path, "value") == [3.0, 1.5]
+
+    def test_value_column_short_row(self, tmp_path):
+        path = write(tmp_path, "v.csv", "a,value\n1,2\n3\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_value_column(path, "value")
+
+    @pytest.mark.parametrize("reader", [read_sk_points, lambda p: read_value_column(p, "value")])
+    def test_header_only_is_empty(self, tmp_path, reader):
+        path = write(tmp_path, "p.csv", "group,s,k,value\n")
+        with pytest.raises(EmptyInputError):
+            reader(path)
 
 
 def test_grouped_dataset_accessors():

@@ -210,6 +210,15 @@ class TestGroupSKPoints:
         res = group_sk_points({"ok": [1, 2, 3, 4], "flat": [5, 5, 5, 5]}, min_n=4)
         assert res.skipped[0].reason == "zero variance"
 
+    @pytest.mark.parametrize("min_n", [0, 1, 2])
+    def test_single_value_group_skipped_below_any_min_n(self, min_n):
+        res = group_sk_points({"ok": [1, 2, 3, 4], "one": [5], "none": []}, min_n=min_n)
+        assert [p.group_key for p in res.points] == ["ok"]
+        assert [(g.group_key, g.n, g.reason) for g in res.skipped] == [
+            ("one", 1, "fewer than 2 values"),
+            ("none", 0, "fewer than 2 values"),
+        ]
+
     def test_identical_groups_identical_points(self):
         res = group_sk_points({"a": [1, 2, 3, 7], "b": [1, 2, 3, 7]}, min_n=4)
         pa, pb = res.points

@@ -37,7 +37,8 @@ def _write_json(path: Path, obj) -> None:
     _write(path, json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n")
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+def _read_config(path: str | None, keys: set[str]) -> dict[str, str]:
+    """``key = value`` lines of a config file; a key outside ``keys`` is a ParseError."""
     if not path:
         return {}
     out: dict[str, str] = {}
@@ -48,7 +49,10 @@ def _read_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ParseError(f"{path}: config line without '=': {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in keys:
+            raise ParseError(f"{path}: unknown config key {key!r}; known: {sorted(keys)}")
+        out[key] = value.strip()
     return out
 
 
@@ -67,6 +71,14 @@ def _check_counts(min_n: int, bins: int) -> None:
     for name, value in (("min_n", min_n), ("bins", bins)):
         if value < 1:
             raise ParseError(f"{name} must be >= 1, got {value}")
+
+
+def _urn_config(**fields) -> urnsim.UrnConfig:
+    """The ``UrnConfig`` of flag or config values; an out-of-range one is a ParseError."""
+    try:
+        return urnsim.UrnConfig(**fields)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _column_map(args) -> dict[str, str]:
@@ -242,8 +254,8 @@ def cmd_beta_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config_file = _read_config(args.config)
-    cfg = urnsim.UrnConfig(
+    config_file = _read_config(args.config, {"k0", "a_shift", "alpha", "steps", "seed", "k_min"})
+    cfg = _urn_config(
         k0=_resolve(args.k0, config_file, "k0", 1, int),
         a_shift=_resolve(args.a_shift, config_file, "a_shift", 0.0, float),
         alpha=_resolve(args.alpha, config_file, "alpha", 0.5, float),
@@ -256,15 +268,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config_file = _read_config(args.config)
+    config_file = _read_config(
+        args.config,
+        {"min_n", "bins", "seed", "simulate", "sim_k0", "sim_a_shift", "sim_alpha", "sim_steps"},
+    )
     min_n = _resolve(args.min_n, config_file, "min_n", 4, int)
     bins = _resolve(args.bins, config_file, "bins", 10, int)
     seed = _resolve(args.seed, config_file, "seed", 0, int)
     _check_counts(min_n, bins)
     do_sim = args.simulate or config_file.get("simulate", "0") in ("1", "true", "yes")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
+    sim_cfg = None
+    if do_sim:
+        sim_cfg = _urn_config(
+            k0=_resolve(None, config_file, "sim_k0", 1, int),
+            a_shift=_resolve(None, config_file, "sim_a_shift", 0.0, float),
+            alpha=_resolve(None, config_file, "sim_alpha", 0.5, float),
+            steps=_resolve(None, config_file, "sim_steps", 20000, int),
+            seed=seed,
+        )
+    out = Path(args.out_dir)  # made by the first write, after the input parsed
     if args.synthetic:
         dataset = synthetic.synthetic_grouped_dataset(seed=seed)
         source = f"synthetic(seed={seed})"
@@ -316,17 +338,7 @@ def cmd_pipeline(args) -> int:
         unmet = no_points or ("" if rank_fits[t] else "lav4 fit unavailable")
         run(f"beta_rank_{t}", unmet, _beta_rank, out, rank_fits[t], f"beta_rank_{t}")
 
-    if do_sim:
-        cfg = urnsim.UrnConfig(
-            k0=_resolve(None, config_file, "sim_k0", 1, int),
-            a_shift=_resolve(None, config_file, "sim_a_shift", 0.0, float),
-            alpha=_resolve(None, config_file, "sim_alpha", 0.5, float),
-            steps=_resolve(None, config_file, "sim_steps", 20000, int),
-            seed=seed,
-        )
-        run("simulate", "", _simulate, out, cfg, None, "csv")
-    else:
-        run("simulate", "not requested", None)
+    run("simulate", "" if do_sim else "not requested", _simulate, out, sim_cfg, None, "csv")
 
     failed = any(status not in ("ok", "skipped: not requested") for _, status, _ in sections)
     manifest = [

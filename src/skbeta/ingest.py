@@ -1,7 +1,8 @@
 """Ingestion of delimited city-level data and the bundled province summary.
 
 Microdata schema: header ``province,city,value`` (comma default, tab
-accepted), UTF-8, decimal-point numerals.  Province fixture schema:
+accepted), UTF-8 with or without a BOM, decimal-point numerals; values are
+finite and nonnegative.  Province fixture schema:
 ``province,ati_eur,population,n_cities`` with ATI in absolute EUR.  Every
 delimited file, the ``group,s,k[,n]`` point files and single value columns
 included, is read by ``_read_rows``.
@@ -10,6 +11,7 @@ included, is read by ``_read_rows``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -46,8 +48,8 @@ class CityRecord:
     def __post_init__(self):
         if not self.province_code:
             raise ValueError("province_code must be nonempty")
-        if self.value < 0.0:
-            raise ValueError(f"value must be nonnegative, got {self.value}")
+        if not 0.0 <= self.value < math.inf:  # nan fails it too
+            raise ValueError(f"value must be nonnegative and finite, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,10 @@ def _detect_delimiter(header_line: str) -> str:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of a file; a missing, unreadable or non-UTF-8 file is a ParseError."""
+    """The UTF-8 text of a file, less a leading BOM; a missing, unreadable or
+    non-UTF-8 file is a ParseError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
 

@@ -3,8 +3,14 @@
 One urn of k0 balls seeds the process.  Each step either creates a fresh
 urn of k0 balls (probability alpha) or drops one ball into an existing urn
 chosen with probability proportional to its size plus ``a_shift``.
-Weighted selection runs on a cumulative-weight (Fenwick) tree, so a step
-costs O(log n_urns).
+
+Urn i weighs (k0 + a_shift) + (k_i - k0): a base weight every urn shares,
+plus one unit per ball that attach steps added to it.  ``run`` keeps the
+urn of each added ball in a list, so an attach step picks in O(1) from one
+uniform over U (k0 + a_shift) + (added balls): below U (k0 + a_shift) it
+names an urn by base weight, above it an added ball and so that ball's urn.
+Since k0 + a_shift > 0, the pick is exact for every allowed ``a_shift``,
+negative ones included, with no rejection step.
 
 The random source is numpy's PCG64 generator, seeded explicitly: identical
 seeds give bit-identical trajectories across platforms.  Each step draws
@@ -26,9 +32,7 @@ from .errors import InsufficientDataError, UnsupportedDerivationError
 
 __all__ = [
     "UrnConfig",
-    "UrnState",
     "SimResult",
-    "step",
     "run",
     "predicted_b",
     "empirical_tail_slope",
@@ -70,87 +74,6 @@ class UrnConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
-class _WeightTree:
-    """Fenwick tree over nonnegative float weights with append support."""
-
-    __slots__ = ("_tree", "_n", "_capacity", "total")
-
-    def __init__(self, capacity: int):
-        self._capacity = capacity
-        self._tree = [0.0] * (capacity + 1)
-        self._n = 0
-        self.total = 0.0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, weight: float) -> None:
-        self._n += 1
-        i = self._n
-        if i > self._capacity:
-            raise IndexError("weight tree capacity exceeded")
-        acc = weight
-        j = i - 1
-        stop = i - (i & -i)
-        while j > stop:
-            acc += self._tree[j]
-            j -= j & -j
-        self._tree[i] = acc
-        self.total += weight
-
-    def add(self, index: int, delta: float) -> None:
-        # index is 1-based
-        j = index
-        while j <= self._n:
-            self._tree[j] += delta
-            j += j & -j
-        self.total += delta
-
-    def find(self, target: float) -> int:
-        """0-based index of the item whose cumulative range contains target."""
-        pos = 0
-        rem = target
-        bit = 1 << (self._n.bit_length() - 1) if self._n else 0
-        while bit:
-            nxt = pos + bit
-            if nxt <= self._n and self._tree[nxt] <= rem:
-                pos = nxt
-                rem -= self._tree[nxt]
-            bit >>= 1
-        if pos >= self._n:  # guards the u * total == total rounding corner
-            pos = self._n - 1
-        return pos
-
-
-@dataclass
-class UrnState:
-    sizes: list[int]
-    tree: _WeightTree
-    total_balls: int
-
-    @classmethod
-    def initial(cls, config: UrnConfig, capacity: int | None = None) -> "UrnState":
-        cap = capacity if capacity is not None else config.steps + 1
-        tree = _WeightTree(cap)
-        tree.append(config.k0 + config.a_shift)
-        return cls(sizes=[config.k0], tree=tree, total_balls=config.k0)
-
-
-def step(state: UrnState, config: UrnConfig, rng: np.random.Generator) -> UrnState:
-    """Advance the process by one step, mutating and returning ``state``."""
-    if rng.random() < config.alpha:
-        state.sizes.append(config.k0)
-        state.tree.append(config.k0 + config.a_shift)
-        state.total_balls += config.k0
-    else:
-        u = rng.random()
-        idx = state.tree.find(u * state.tree.total)
-        state.sizes[idx] += 1
-        state.tree.add(idx + 1, 1.0)
-        state.total_balls += 1
-    return state
-
-
 @dataclass(frozen=True)
 class SimResult:
     urn_sizes: tuple[int, ...]
@@ -177,10 +100,24 @@ class SimResult:
 def run(config: UrnConfig) -> SimResult:
     """Run ``config.steps`` steps from the single-urn initial state."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    state = UrnState.initial(config)
+    k0, alpha, base = config.k0, config.alpha, config.k0 + config.a_shift
+    sizes = [k0]
+    owners: list[int] = []  # the urn of each ball an attach step added
     for _ in range(config.steps):
-        step(state, config, rng)
-    return SimResult.from_sizes(state.sizes)
+        if rng.random() < alpha:
+            sizes.append(k0)
+            continue
+        n = len(sizes)
+        urn_mass = n * base
+        v = rng.random() * (urn_mass + len(owners))
+        # min() guards the rounding corners where v lands on a range end
+        if v < urn_mass:
+            i = min(int(v / base), n - 1)
+        else:
+            i = owners[min(int(v - urn_mass), len(owners) - 1)]
+        sizes[i] += 1
+        owners.append(i)
+    return SimResult.from_sizes(sizes)
 
 
 def predicted_b(config: UrnConfig) -> float:

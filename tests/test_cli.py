@@ -304,6 +304,64 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--steps", "-1"), ("--alpha", "1.5"), ("--k0", "0"), ("--a-shift", "-1"), ("--seed", "-1")],
+    )
+    def test_bad_urn_flag_exits_2_before_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert run_cli("simulate", *flags, "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["sim_alpha = 1.5", "sim_steps = -1", "sim_k0 = 0"])
+    def test_pipeline_bad_urn_config_exits_2_before_output(self, tmp_path, line):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"simulate = 1\n{line}\n")
+        out = tmp_path / "o"
+        rc = run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 2
+        assert not out.exists()
+
+    def test_pipeline_bad_urn_config_ignored_without_simulate(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("sim_alpha = 1.5\n")
+        out = tmp_path / "o"
+        assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 0
+        assert "simulate: skipped: not requested" in (out / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("simulate", "stepz"), ("simulate", "sim_steps"), ("pipeline", "steps"), ("pipeline", "k_min")],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, command, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"seed = 1\n{key} = 5\n")
+        out = tmp_path / "o"
+        extra = ("--synthetic",) if command == "pipeline" else ()
+        assert run_cli(command, *extra, "--config", str(cfg), "--out-dir", str(out)) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_exits_2_before_output(self, tmp_path, capsys, cell):
+        src = tmp_path / "m.csv"
+        src.write_text(MICRO + f"BB,d7,{cell}\n")
+        for command in ("stats", "pipeline"):
+            out = tmp_path / command
+            assert run_cli(command, "--input", str(src), "--out-dir", str(out)) == 2
+            assert "line 13" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_bom_input_reads_like_plain_utf8(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(MICRO, encoding="utf-8")
+        bom.write_text(MICRO, encoding="utf-8-sig")
+        for src in (plain, bom):
+            assert run_cli("stats", "--input", str(src), "--out-dir", str(tmp_path / src.stem)) == 0
+        for name in ("sk_points.csv", "summary.txt", "hist_s.csv", "hist_k.csv"):
+            assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
     def test_unknown_rank_model_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as ei:
             run_cli("fit", "--input", "x.csv", "--model", "rank:foo", "--out-dir", str(tmp_path))

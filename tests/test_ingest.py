@@ -71,6 +71,17 @@ class TestParseCityCsv:
         with pytest.raises(ParseError, match="line 2"):
             parse_city_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity", "1e400"])
+    def test_non_finite_value_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "m.csv", f"province,city,value\nAA,c1,1\nAA,c2,{cell}\n")
+        with pytest.raises(ParseError, match="line 3: value must be nonnegative and finite"):
+            parse_city_csv(path)
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"\xef\xbb\xbfprovince,city,value\nAA,c1,1\nBB,c2,2\n")
+        assert parse_city_csv(path).groups == {"AA": (1.0,), "BB": (2.0,)}
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "m.csv", "")
         with pytest.raises(EmptyInputError):

@@ -1,57 +1,23 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from skbeta import betadist
 from skbeta.errors import InsufficientDataError, UnsupportedDerivationError
 from skbeta.urnsim import (
     SimResult,
     UrnConfig,
-    UrnState,
-    _WeightTree,
     empirical_tail_slope,
     predicted_b,
     run,
     sim_block,
     sim_csv,
-    step,
     tv_distance_to_limit,
 )
-
-
-class TestWeightTree:
-    def test_against_linear_scan(self):
-        rng = np.random.default_rng(123)
-        for trial in range(20):
-            n = int(rng.integers(1, 200))
-            weights = list(rng.uniform(0.1, 5.0, n))
-            tree = _WeightTree(n)
-            for w in weights:
-                tree.append(w)
-            bumps = rng.integers(0, n, size=50)
-            for i in bumps:
-                tree.add(int(i) + 1, 1.0)
-                weights[int(i)] += 1.0
-            total = sum(weights)
-            assert tree.total == pytest.approx(total, rel=1e-12)
-            for u in rng.uniform(0.0, 1.0, 200):
-                target = u * tree.total
-                acc = 0.0
-                expected = n - 1
-                for i, w in enumerate(weights):
-                    acc += w
-                    if target < acc:
-                        expected = i
-                        break
-                assert tree.find(target) == expected
-
-    def test_capacity_enforced(self):
-        tree = _WeightTree(2)
-        tree.append(1.0)
-        tree.append(1.0)
-        with pytest.raises(IndexError):
-            tree.append(1.0)
 
 
 class TestConfig:
@@ -110,17 +76,57 @@ class TestRun:
         res = run(UrnConfig(k0=4, alpha=0.5, steps=3000, seed=3))
         assert min(res.urn_sizes) == 4
 
-    def test_manual_step_loop_matches_run(self):
-        cfg = UrnConfig(k0=1, alpha=0.5, steps=500, seed=11)
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        state = UrnState.initial(cfg)
-        for _ in range(cfg.steps):
-            step(state, cfg, rng)
-        assert SimResult.from_sizes(state.sizes) == run(cfg)
-
     def test_pmf_sums_to_one(self):
         res = run(UrnConfig(k0=1, alpha=0.5, steps=10_000, seed=21))
         assert math.fsum(res.empirical_pmf.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def exact_size_law(cfg: UrnConfig) -> dict[tuple[int, ...], float]:
+    """The probability of each ``urn_sizes`` tuple after ``cfg.steps`` steps,
+    by enumerating every path: create with probability alpha, else attach to
+    urn i with probability (k_i + a) / (B + a U)."""
+    law = {(cfg.k0,): 1.0}
+    for _ in range(cfg.steps):
+        nxt: Counter = Counter()
+        for sizes, p in law.items():
+            nxt[sizes + (cfg.k0,)] += p * cfg.alpha
+            total = sum(sizes) + cfg.a_shift * len(sizes)
+            for i, k in enumerate(sizes):
+                grown = sizes[:i] + (k + 1,) + sizes[i + 1 :]
+                nxt[grown] += p * (1 - cfg.alpha) * (k + cfg.a_shift) / total
+        law = dict(nxt)
+    return law
+
+
+class TestSamplingLaw:
+    @pytest.mark.parametrize(
+        "k0, a_shift, alpha, steps",
+        [(1, -0.5, 0.5, 5), (2, 1.5, 0.3, 5), (3, -2.5, 0.4, 5), (1, 0.0, 0.5, 4)],
+    )
+    def test_small_run_matches_exact_law(self, k0, a_shift, alpha, steps):
+        law = exact_size_law(UrnConfig(k0=k0, a_shift=a_shift, alpha=alpha, steps=steps))
+        runs = 20_000
+        seen = Counter(
+            run(UrnConfig(k0=k0, a_shift=a_shift, alpha=alpha, steps=steps, seed=seed)).urn_sizes
+            for seed in range(runs)
+        )
+        assert set(seen) <= set(law)
+        # Pearson chi-square; outcomes expected fewer than 5 times share one cell
+        rare = [x for x, p in law.items() if p * runs < 5]
+        cells = [(seen[x], p * runs) for x, p in law.items() if p * runs >= 5]
+        if rare:
+            cells.append((sum(seen[x] for x in rare), sum(law[x] for x in rare) * runs))
+        chi2 = sum((o - e) ** 2 / e for o, e in cells)
+        df = len(cells) - 1
+        assert df >= 8
+        assert chi2 < stats.chi2.ppf(0.999, df)
+
+    @pytest.mark.parametrize("a_shift, digest", [(-0.5, "6eefb34deee01a2f"), (1.5, "fddb2851cd797848")])
+    def test_pinned_trajectory(self, a_shift, digest):
+        # a change of the sampler's trajectories must be deliberate: update
+        # these digests only together with a note on why sizes moved
+        res = run(UrnConfig(k0=1, a_shift=a_shift, alpha=0.3, steps=3000, seed=2024))
+        assert hashlib.sha256(repr(res.urn_sizes).encode()).hexdigest()[:16] == digest
 
 
 class TestPredictedB:
@@ -173,6 +179,12 @@ class TestLimitAgreement:
         res = run(cfg)
         assert predicted_b(cfg) == 4.0
         assert tv_distance_to_limit(res, cfg) < 0.02
+
+
+    def test_negative_shift_matches_limit(self):
+        cfg = UrnConfig(k0=1, a_shift=-0.5, alpha=0.5, steps=100_000, seed=7)
+        assert predicted_b(cfg) == 2.5
+        assert tv_distance_to_limit(run(cfg), cfg) < 0.02
 
 
 class TestTailSlope:

@@ -313,8 +313,7 @@ def cmd_pipeline(args) -> int:
         sections.append((name, status, files))
         return result
 
-    all_values = [v for vals in dataset.groups.values() for v in vals]
-    run("pooled_stats", "", _pooled_stats, out, all_values)
+    run("pooled_stats", "", _pooled_stats, out, dataset.values)
 
     try:
         groups = moments.group_sk_points(dataset, min_n=min_n)

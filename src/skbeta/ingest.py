@@ -5,7 +5,9 @@ accepted), UTF-8 with or without a BOM, decimal-point numerals; values are
 finite and nonnegative.  Province fixture schema:
 ``province,ati_eur,population,n_cities`` with ATI in absolute EUR.  Every
 delimited file, the ``group,s,k[,n]`` point files and single value columns
-included, is read by ``_read_rows``.
+included, is read by ``_read_rows``; numbers in them must be finite.
+``parse_city_csv`` first tries a columnar fast path on plain files and
+falls back to ``_read_rows`` for anything else.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .errors import EmptyInputError, IntegrityError, ParseError, SchemaError
-from .moments import SKPoint
+from .moments import GroupedDataset, SKPoint
 
 __all__ = [
     "CityRecord",
@@ -53,22 +57,6 @@ class CityRecord:
 
 
 @dataclass(frozen=True)
-class GroupedDataset:
-    """Province-keyed value lists, in file order within each group."""
-
-    groups: dict[str, tuple[float, ...]]
-    value_label: str
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    @property
-    def n_rows(self) -> int:
-        return sum(len(v) for v in self.groups.values())
-
-
-@dataclass(frozen=True)
 class ProvinceSummaryRow:
     province_code: str
     ati_total: float
@@ -95,12 +83,15 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
 
 
-def _read_rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+def _read_rows(
+    path, text: str | None = None
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The stripped header, and an iterator over ``(line number, cells)`` of
     the later rows, parsed as they are consumed.  All-blank rows are skipped;
-    line numbers count every physical line, blank ones included.
+    line numbers count every physical line, blank ones included.  ``text``
+    is the file's text where the caller has read it already.
     """
-    lines = read_text(path).splitlines()
+    lines = (read_text(path) if text is None else text).splitlines()
     reader = csv.reader(lines, delimiter=_detect_delimiter(lines[0] if lines else ""))
     rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
     first = next(rows, None)
@@ -127,15 +118,11 @@ def _records(path, body, make) -> list:
     return out
 
 
-def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> GroupedDataset:
-    """Group city-level values by province code.
-
-    ``column_map`` maps file column names to the roles ``province``,
-    ``city`` and ``value``; by default the roles double as column names.
-    The ``city`` role is informative only and may be left unmapped, in
-    which case city names are synthesized from the line number.
-    """
-    header, body = _read_rows(path)
+def _city_columns(
+    header: list[str], column_map: Mapping[str, str] | None
+) -> tuple[dict[str, int], str]:
+    """Header index of each mapped role, and the value column's name; a bad
+    role or a missing column is a SchemaError."""
     if column_map is None:
         column_map = {role: role for role in _ROLES}
     role_to_name = {}
@@ -151,7 +138,111 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
         if name not in header:
             raise SchemaError(f"missing column {name!r} (role {role!r}) in header {header}")
         indices[role] = header.index(name)
+    return indices, role_to_name["value"]
 
+
+def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> GroupedDataset:
+    """Group city-level values by province code.
+
+    ``column_map`` maps file column names to the roles ``province``,
+    ``city`` and ``value``; by default the roles double as column names.
+    The ``city`` role is informative only and may be left unmapped, in
+    which case city names are synthesized from the line number.
+
+    A plain file is read column-wise (see ``_columnar``); any other text,
+    and any text that fails a check there, goes through ``_parse_rows``,
+    which gives the same dataset or a line-numbered error.
+    """
+    text = read_text(path)
+    dataset = _columnar(text, column_map)
+    return dataset if dataset is not None else _parse_rows(path, text, column_map)
+
+
+# Characters that only ``_read_rows`` reads right: the quote, NUL (which
+# ``csv`` rejects before Python 3.11), and every line break of
+# ``str.splitlines`` but "\n" (``read_text`` has made "\r\n" and "\r" "\n").
+_NOT_PLAIN = ('"', "\0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# A chunk's copies stay in L2; 1 MB chunks parsed slower and peaked higher.
+_CHUNK_CHARS = 1 << 16
+
+
+def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset | None:
+    """The dataset of a plain file, or None where ``_parse_rows`` must decide.
+
+    Plain means: no character of ``_NOT_PLAIN`` (checked on the whole text
+    first), a nonblank first line as the header, every later line with
+    exactly the header's number of cells, province cells nonempty and
+    already stripped, and values that ``float`` reads as finite and
+    nonnegative.  The text is split 64K characters at a time.
+    """
+    pos = text.find("\n") + 1
+    if not pos or any(c in text for c in _NOT_PLAIN):
+        return None
+    head = text[: pos - 1]
+    delim = _detect_delimiter(head)
+    header = [h.strip() for h in head.split(delim)]
+    if not any(header):
+        return None
+    try:
+        columns, label = _city_columns(header, column_map)
+    except SchemaError:
+        return None
+    width, p, v = len(header), columns["province"], columns["value"]
+    codes: dict[str, int] = {}
+    code_runs, value_runs = [], []
+    while pos < len(text):
+        end = text.find("\n", pos + _CHUNK_CHARS)
+        end = len(text) if end < 0 else end + 1
+        chunk = text[pos:end].removesuffix("\n")
+        pos = end
+        if not _cells_per_line(chunk, delim, width):
+            return None
+        cells = chunk.replace("\n", delim).split(delim)
+        provinces = cells[p::width]
+        for key in dict.fromkeys(provinces):
+            if key not in codes:
+                if not key or key != key.strip():
+                    return None
+                codes[key] = len(codes)
+        code_runs.append(np.fromiter(map(codes.__getitem__, provinces), np.int64, len(provinces)))
+        try:
+            value_runs.append(np.fromiter(map(float, cells[v::width]), float, len(provinces)))
+        except ValueError:
+            return None
+    if not codes:
+        return None
+    group = np.concatenate(code_runs)
+    values = np.concatenate(value_runs)
+    if not ((values >= 0.0) & (values < np.inf)).all():  # nan fails it too
+        return None
+    if (group[1:] < group[:-1]).any():
+        values = values[np.argsort(group, kind="stable")]
+    counts = np.bincount(group, minlength=len(codes))
+    return GroupedDataset(keys=tuple(codes), counts=counts, values=values, value_label=label)
+
+
+def _cells_per_line(chunk: str, delim: str, width: int) -> bool:
+    """Whether every line of ``chunk`` has exactly ``width`` cells.
+
+    Holds when there are ``width - 1`` delimiters per line in all and, line
+    by line, the first delimiter of each line follows the line break before
+    it and the last one precedes the break after it.
+    """
+    raw = np.frombuffer(chunk.encode(), np.uint8)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    delims = np.flatnonzero(raw == ord(delim))
+    k = width - 1
+    return (
+        len(delims) == (len(breaks) + 1) * k
+        and bool((delims[k::k] > breaks).all())
+        and bool((delims[k - 1 : -1 : k] < breaks).all())
+    )
+
+
+def _parse_rows(path, text: str, column_map: Mapping[str, str] | None) -> GroupedDataset:
+    """``parse_city_csv`` row by row through ``_read_rows``."""
+    header, body = _read_rows(path, text)
+    indices, label = _city_columns(header, column_map)
     groups: dict[str, list[float]] = {}
     needed = max(indices.values())
     city_idx = indices.get("city")
@@ -172,10 +263,14 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
         groups.setdefault(record.province_code, []).append(record.value)
     if not groups:
         raise EmptyInputError(f"{path}: no data rows")
-    return GroupedDataset(
-        groups={k: tuple(v) for k, v in groups.items()},
-        value_label=role_to_name["value"],
-    )
+    return GroupedDataset(groups, label)
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {cell.strip()!r}")
+    return value
 
 
 def read_sk_points(path) -> list[SKPoint]:
@@ -186,7 +281,7 @@ def read_sk_points(path) -> list[SKPoint]:
 
     def point(row):
         size = int(row[n]) if n is not None and row[n] else 0
-        return SKPoint(row[g], float(row[s]), float(row[k]), size)
+        return SKPoint(row[g], _finite(row[s]), _finite(row[k]), size)
 
     points = _records(path, body, point)
     if not points:
@@ -198,7 +293,7 @@ def read_value_column(path, column: str) -> list[float]:
     """The values of one numeric column, in file order."""
     header, body = _read_rows(path)
     (i,) = _columns(path, header, (column,))
-    values = _records(path, body, lambda row: float(row[i]))
+    values = _records(path, body, lambda row: _finite(row[i]))
     if not values:
         raise EmptyInputError(f"{path}: no data rows")
     return values
@@ -208,13 +303,13 @@ def write_grouped_csv(dataset: GroupedDataset, path) -> None:
     """Serialize a grouped dataset back to the microdata schema.
 
     City names are synthesized (they are not retained in the dataset);
-    parsing the output reproduces the dataset field by field.
+    parsing the output reproduces the dataset field by field.  The file is
+    written one group at a time.
     """
-    lines = [f"province,city,{dataset.value_label}"]
-    for key, values in dataset.groups.items():
-        for i, v in enumerate(values, start=1):
-            lines.append(f"{key},{key}_{i},{v!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"province,city,{dataset.value_label}\n")
+        for key, run in dataset.runs():
+            fh.write("".join(f"{key},{key}_{i},{v!r}\n" for i, v in enumerate(run.tolist(), 1)))
 
 
 def load_province_summary(path, strict: bool = False) -> list[ProvinceSummaryRow]:
@@ -224,7 +319,7 @@ def load_province_summary(path, strict: bool = False) -> list[ProvinceSummaryRow
     rows = _records(
         path,
         body,
-        lambda row: ProvinceSummaryRow(row[p].strip(), float(row[a]), int(row[pop]), int(row[n])),
+        lambda row: ProvinceSummaryRow(row[p].strip(), _finite(row[a]), int(row[pop]), int(row[n])),
     )
     if strict and len(rows) != EXPECTED_PROVINCE_ROWS:
         raise IntegrityError(

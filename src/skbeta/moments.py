@@ -3,14 +3,22 @@
 outlier flags, and equal-width histograms.
 
 All moments use the population convention (divide by n, no bias
-correction), computed in two passes for numerical stability.
+correction) and come from one segmented kernel, :func:`segment_moments`,
+which computes every group of a grouped value array at once; that layout,
+:class:`GroupedDataset`, is defined here and built by ``ingest``.
+Shapes are scale-free and finite at any value scale; a statistic in the
+values' own units that lies beyond the float range (a variance of values
+near 1e200, say) raises OverflowError, as ``statistics.pvariance`` does.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from . import betadist
 from .errors import (
@@ -23,10 +31,13 @@ from .errors import (
 )
 
 __all__ = [
+    "GroupedDataset",
     "MomentSummary",
     "SKPoint",
     "SkippedGroup",
     "GroupSKResult",
+    "SegmentMoments",
+    "segment_moments",
     "central_moments",
     "shape_moments",
     "summarize",
@@ -95,72 +106,228 @@ class GroupSKResult:
     skipped: tuple[SkippedGroup, ...]
 
 
-def _as_floats(values: Iterable[float]) -> list[float]:
-    xs = [float(v) for v in values]
-    if not xs:
+class GroupedDataset:
+    """Province-keyed values.
+
+    ``values`` is one float64 array holding the groups one after another,
+    in first-appearance order, each group's values in file order;
+    ``counts[i]`` values belong to ``keys[i]``.  ``GroupedDataset(groups,
+    value_label)`` builds one from a mapping of key -> values.
+    """
+
+    def __init__(
+        self,
+        groups: Mapping[str, Iterable[float]] | None = None,
+        value_label: str = "value",
+        *,
+        keys: Sequence[str] = (),
+        counts=(),
+        values=(),
+    ):
+        if groups is not None:
+            keys = tuple(groups)
+            runs = [np.asarray(v, dtype=float) for v in groups.values()]
+            counts = [len(run) for run in runs]
+            values = np.concatenate(runs) if runs else ()
+        self.keys = tuple(keys)
+        self.counts = np.asarray(counts, dtype=np.int64)
+        self.values = np.asarray(values, dtype=float)
+        self.value_label = value_label
+
+    def runs(self) -> Iterator[tuple[str, np.ndarray]]:
+        """Each key with its run of ``values``, in order."""
+        start = 0
+        for key, n in zip(self.keys, self.counts.tolist()):
+            yield key, self.values[start : start + n]
+            start += n
+
+    @cached_property
+    def groups(self) -> dict[str, tuple[float, ...]]:
+        """Each key's values as a tuple of Python floats."""
+        return {key: tuple(run.tolist()) for key, run in self.runs()}
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.keys)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.values)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupedDataset):
+            return NotImplemented
+        return (
+            (self.keys, self.value_label) == (other.keys, other.value_label)
+            and np.array_equal(self.counts, other.counts)
+            and np.array_equal(self.values, other.values)
+        )
+
+    __hash__ = None
+
+
+def _as_array(values: Iterable[float]) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        x = values.astype(float, copy=False)
+    else:
+        x = np.fromiter(values, dtype=float)
+    if not len(x):
         raise EmptyInputError("value list is empty")
-    return xs
+    return x
+
+
+# A segment whose standard deviation is at most this share of |mean| has
+# deviations that resolve fewer than ten bits: they are the rounding noise
+# of the values and their mean, so its variance counts as zero.
+REL_STD_FLOOR = 2.0**-42
+
+
+class SegmentMoments(NamedTuple):
+    """Per-segment moments from :func:`segment_moments`, one entry per segment.
+
+    ``mu2``..``mu4`` are the central moments of the deviations scaled by
+    ``2**-exp``, so the k-th central moment is ``mu_k * 2**(k * exp)``;
+    skewness and kurtosis need no unscaling.  ``flat`` marks the segments
+    below the variance floor.
+    """
+
+    n: np.ndarray
+    mean: np.ndarray
+    exp: np.ndarray
+    mu2: np.ndarray
+    mu3: np.ndarray
+    mu4: np.ndarray
+    flat: np.ndarray
+
+    def shape(self) -> tuple[np.ndarray, np.ndarray]:
+        """Skewness mu3 / mu2^(3/2) and kurtosis mu4 / mu2^2 (meaningless where flat)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.mu3 / self.mu2**1.5, self.mu4 / (self.mu2 * self.mu2)
+
+    def central(self, order: int) -> np.ndarray:
+        """mu_order in the values' own units (inf where it overflows)."""
+        mu = (self.mu2, self.mu3, self.mu4)[order - 2]
+        with np.errstate(over="ignore", under="ignore"):
+            return np.ldexp(mu, order * self.exp)
+
+
+def segment_moments(values: np.ndarray, counts) -> SegmentMoments:
+    """n, mean and mu2..mu4 of each run of ``values``; ``counts`` (each >= 1)
+    gives the run lengths in order.
+
+    Each run is first scaled by a power of two near its largest |x|, which
+    is exact and keeps sums finite and out of the subnormal range.  The mean
+    of the scaled run is corrected once by the mean of its deviations, and
+    the moments are taken about the corrected mean (the binomial shift of
+    Chan, Golub and LeVeque's corrected two-pass algorithm).  Deviations are
+    scaled by a power of two near their largest |d| before taking powers.
+    """
+    x = np.asarray(values, dtype=float)
+    n = np.asarray(counts, dtype=np.int64)
+    starts = np.cumsum(n) - n
+
+    def per_value(a):
+        return np.repeat(a, n)
+
+    def run_mean(a):
+        return np.add.reduceat(a, starts) / n
+
+    ex = np.frexp(np.maximum.reduceat(np.abs(x), starts))[1]
+    xs = np.ldexp(x, per_value(-ex))
+    m0 = run_mean(xs)
+    d = xs - per_value(m0)
+    del xs
+    r = run_mean(d)
+    mean = m0 + r
+    ed = np.frexp(np.maximum.reduceat(np.abs(d), starts))[1]
+    d = np.ldexp(d, per_value(-ed), out=d)
+    r = np.ldexp(r, -ed)
+    d2 = d * d
+    p2 = run_mean(d2)
+    p3 = run_mean(d2 * d)
+    p4 = run_mean(np.square(d2, out=d2))
+    mu2 = p2 - r * r
+    mu3 = p3 - 3.0 * r * p2 + 2.0 * r**3
+    mu4 = p4 - 4.0 * r * p3 + 6.0 * r * r * p2 - 3.0 * r**4
+    with np.errstate(under="ignore"):
+        std = np.ldexp(np.sqrt(np.maximum(mu2, 0.0)), ed)
+    flat = std <= REL_STD_FLOOR * np.abs(mean)
+    return SegmentMoments(n, np.ldexp(mean, ex), ex + ed, mu2, mu3, mu4, flat)
+
+
+def _moments(values: Iterable[float], flat_error=ZeroVarianceError):
+    """The values as an array and their moments; fewer than 2 values is a
+    DegenerateSampleError and a variance below the floor a ``flat_error``."""
+    x = _as_array(values)
+    if len(x) == 1:
+        raise DegenerateSampleError(
+            f"need at least 2 values for moments of order >= 2, got {len(x)}"
+        )
+    m = segment_moments(x, [len(x)])
+    if m.flat[0]:
+        equal = "all values are equal" if x.min() == x.max() else "values are equal to rounding"
+        raise flat_error(f"{equal}; variance is zero")
+    return x, m
+
+
+def _check_range(stats: Mapping[str, float]) -> None:
+    """Raise OverflowError naming every statistic that is not finite."""
+    over = [name for name, v in stats.items() if not math.isfinite(v)]
+    if over:
+        raise OverflowError(f"{', '.join(over)} of the values beyond the float range")
 
 
 def central_moments(values: Iterable[float], order: int = 4) -> list[float]:
     """Centered moments mu_1..mu_order, mu_i = (1/n) sum (x - mean)^i.
 
-    Population convention; two passes (mean first, then centered powers).
+    Population convention, from :func:`segment_moments`; mu_1 is 0 by
+    definition.
     """
     if order not in (2, 3, 4):
         raise ValueError(f"order must be 2, 3 or 4, got {order}")
-    xs = _as_floats(values)
-    n = len(xs)
-    if n == 1:
-        raise DegenerateSampleError(
-            f"need at least 2 values for moments of order >= 2, got {n}"
-        )
-    first = xs[0]
-    if all(x == first for x in xs):
-        raise ZeroVarianceError("all values are equal; variance is zero")
-    mean = math.fsum(xs) / n
-    devs = [x - mean for x in xs]
-    mus = []
-    for i in range(1, order + 1):
-        mus.append(math.fsum(d**i for d in devs) / n)
-    return mus
+    _, m = _moments(values)
+    mus = [float(m.central(i)[0]) for i in range(2, order + 1)]
+    _check_range({f"mu{i}": mu for i, mu in enumerate(mus, 2)})
+    return [0.0] + mus
 
 
 def shape_moments(values: Iterable[float]) -> tuple[float, float]:
     """Skewness mu3 / mu2^(3/2) and non-excess kurtosis mu4 / mu2^2."""
-    try:
-        _, m2, m3, m4 = central_moments(values, order=4)
-    except ZeroVarianceError as exc:
-        raise UndefinedShapeError(str(exc)) from exc
-    s = m3 / m2**1.5
-    k = m4 / (m2 * m2)
-    return s, k
+    _, m = _moments(values, UndefinedShapeError)
+    s, k = m.shape()
+    return float(s[0]), float(k[0])
 
 
 def summarize(values: Iterable[float]) -> MomentSummary:
-    """Populate every :class:`MomentSummary` field for one value list."""
-    xs = _as_floats(values)
-    n = len(xs)
-    s, k = shape_moments(xs)  # validates n >= 2 and positive variance
-    mean = math.fsum(xs) / n
-    variance = central_moments(xs, order=2)[1]
-    std_dev = math.sqrt(variance)
-    ordered = sorted(xs)
+    """Populate every :class:`MomentSummary` field for one value list.
+
+    Raises OverflowError when a field (the variance, first) is beyond the
+    float range; a field below it underflows to 0 as float arithmetic does.
+    """
+    x, m = _moments(values, UndefinedShapeError)
+    s, k = (float(v[0]) for v in m.shape())
+    n = len(x)
+    mean = float(m.mean[0])
+    variance = float(m.central(2)[0])
+    # sigma from the scaled mu2, where the variance of tiny values underflows
+    std_dev = float(np.ldexp(np.sqrt(m.mu2[0]), m.exp[0]))
+    with np.errstate(over="ignore"):  # an overflowing sum is raised below
+        total = float(x.sum())
     mid = n // 2
-    median = ordered[mid] if n % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-    rms = math.sqrt(math.fsum(x * x for x in xs) / n)
+    part = np.partition(x, [mid - 1, mid])
+    median = float(part[mid]) if n % 2 else 0.5 * (float(part[mid - 1]) + float(part[mid]))
     try:
         rho: float | None = betadist.help_variable(s, k)
     except NotBetaRepresentableError:
         rho = None
-    return MomentSummary(
+    summary = MomentSummary(
         n=n,
-        min=ordered[0],
-        max=ordered[-1],
-        sum=math.fsum(xs),
+        min=float(x.min()),
+        max=float(x.max()),
+        sum=total,
         mean=mean,
         median=median,
-        rms=rms,
+        rms=math.hypot(mean, std_dev),
         std_dev=std_dev,
         variance=variance,
         std_err=std_dev / math.sqrt(n),
@@ -173,6 +340,9 @@ def summarize(values: Iterable[float]) -> MomentSummary:
         outlier_low=mean - 2.0 * std_dev,
         outlier_high=mean + 2.0 * std_dev,
     )
+    fields = vars(summary)
+    _check_range({f: fields[f] for f in fields if f not in ("cv", "rho")})  # cv is NaN at mean 0
+    return summary
 
 
 def group_sk_points(data, min_n: int = 4) -> GroupSKResult:
@@ -183,21 +353,28 @@ def group_sk_points(data, min_n: int = 4) -> GroupSKResult:
     shape) or with zero variance are listed in the skipped report; raises
     EmptyResultError when nothing survives.
     """
-    groups: Mapping[str, Sequence[float]] = getattr(data, "groups", data)
+    if isinstance(data, Mapping):
+        data = GroupedDataset(data)
     floor = max(min_n, 2)
+    counts = data.counts
+    kept = counts >= floor
+    shapes: Iterator = iter(())
+    if kept.any():
+        values = data.values if kept.all() else data.values[np.repeat(kept, counts)]
+        m = segment_moments(values, counts[kept])
+        s, k = m.shape()
+        shapes = zip(s.tolist(), k.tolist(), m.flat.tolist())
     points: list[SKPoint] = []
     skipped: list[SkippedGroup] = []
-    for key, vals in groups.items():
-        n = len(vals)
-        if n < floor:
+    for key, n, enough in zip(data.keys, counts.tolist(), kept.tolist()):
+        if not enough:
             skipped.append(SkippedGroup(key, n, f"fewer than {floor} values"))
             continue
-        try:
-            s, k = shape_moments(vals)
-        except ZeroVarianceError:
+        s_i, k_i, flat = next(shapes)
+        if flat:
             skipped.append(SkippedGroup(key, n, "zero variance"))
-            continue
-        points.append(SKPoint(group_key=key, s=s, k=k, n=n))
+        else:
+            points.append(SKPoint(group_key=key, s=s_i, k=k_i, n=n))
     if not points:
         exc = EmptyResultError(
             f"no group met the min_n={min_n} threshold "
@@ -226,7 +403,7 @@ def histogram(
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    xs = _as_floats(values)
+    xs = _as_array(values).tolist()
     lo, hi = min(xs), max(xs)
     if lo == hi:
         return [(lo, hi, len(xs))]

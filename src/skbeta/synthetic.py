@@ -23,12 +23,11 @@ def synthetic_grouped_dataset(
 ) -> GroupedDataset:
     """Lognormal groups with varying shape, giving positive-S, positive-K clouds."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    groups: dict[str, tuple[float, ...]] = {}
+    groups: dict[str, np.ndarray] = {}
     for i in range(n_groups):
         n = int(rng.integers(min_size, max_size + 1))
         sigma = 0.4 + 1.0 * float(rng.random())
-        vals = rng.lognormal(mean=10.0, sigma=sigma, size=n)
-        groups[f"G{i:03d}"] = tuple(float(v) for v in vals)
+        groups[f"G{i:03d}"] = rng.lognormal(mean=10.0, sigma=sigma, size=n)
     return GroupedDataset(groups=groups, value_label="value")
 
 

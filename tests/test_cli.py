@@ -1,11 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from skbeta import betadist
 from skbeta.cli import main
 from skbeta.errors import InternalCheckError, SkbetaError
-from skbeta.ingest import bundled_fixture_path, write_grouped_csv
+from skbeta.ingest import GroupedDataset, bundled_fixture_path, write_grouped_csv
 from skbeta.synthetic import lav4_series, synthetic_grouped_dataset
 
 MICRO = (
@@ -353,6 +354,15 @@ class TestExitCodes:
             assert "line 13" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["quadratic", "power"])
+    def test_non_finite_point_exits_2_before_output(self, tmp_path, capsys, model):
+        src = tmp_path / "p.csv"
+        src.write_text("group,s,k,n\na,0.5,2.5,9\nb,nan,4.0,9\nc,1.0,inf,9\nd,2.0,8.0,9\n")
+        out = tmp_path / "o"
+        assert run_cli("fit", "--input", str(src), "--model", model, "--out-dir", str(out)) == 2
+        assert "line 3: non-finite number 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bom_input_reads_like_plain_utf8(self, tmp_path):
         plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
         plain.write_text(MICRO, encoding="utf-8")
@@ -366,6 +376,70 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as ei:
             run_cli("fit", "--input", "x.csv", "--model", "rank:foo", "--out-dir", str(tmp_path))
         assert ei.value.code == 2
+
+
+def _sk_points(out):
+    rows = (out / "sk_points.csv").read_text().splitlines()[1:]
+    return {g: (float(sv), float(kv)) for g, sv, kv, _ in (r.split(",") for r in rows)}
+
+
+class TestNumericRange:
+    """Group values anywhere from 1e-300 to 1e300, and near-constant groups."""
+
+    @staticmethod
+    def write_scaled(path, scale):
+        groups = (("AA", (1, 2, 3, 4, 9)), ("BB", (2, 4, 8, 16, 32, 64)))
+        rows = [f"{g},c{i},{v * scale!r}" for g, vals in groups for i, v in enumerate(vals)]
+        path.write_text("province,city,value\n" + "\n".join(rows) + "\n")
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200, 1e300])
+    def test_stats_shape_is_scale_free(self, tmp_path, capsys, scale):
+        for name, factor in (("unit", 1.0), ("scaled", scale)):
+            self.write_scaled(tmp_path / f"{name}.csv", factor)
+            argv = ("stats", "--input", str(tmp_path / f"{name}.csv"), "--out-dir", str(tmp_path / name))
+            assert run_cli(*argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        unit, scaled = _sk_points(tmp_path / "unit"), _sk_points(tmp_path / "scaled")
+        assert unit.keys() == scaled.keys() == {"AA", "BB"}
+        for g in unit:
+            assert scaled[g] == (pytest.approx(unit[g][0], rel=1e-13), pytest.approx(unit[g][1], rel=1e-13))
+
+    def test_near_constant_group_skipped_as_zero_variance(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text(MICRO + "CC,e1,1\nCC,e2,1.000000000000001\nCC,e3,1\nCC,e4,1\n")
+        out = tmp_path / "out"
+        assert run_cli("stats", "--input", str(src), "--out-dir", str(out)) == 0
+        assert (out / "skipped_groups.csv").read_text() == "group,n,reason\nCC,4,zero variance\n"
+        assert set(_sk_points(out)) == {"AA", "BB"}
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e100])
+    def test_pipeline_runs_every_section_at_tiny_and_large_scales(self, tmp_path, capsys, scale):
+        ds = synthetic_grouped_dataset(n_groups=12, seed=1)
+        src = tmp_path / "m.csv"
+        write_grouped_csv(GroupedDataset({g: np.multiply(v, scale) for g, v in ds.groups.items()}), src)
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 0
+        assert "status: complete" in (out / "manifest.txt").read_text()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_pooled_variance_beyond_float_range_raises(self, tmp_path):
+        src = tmp_path / "huge.csv"
+        src.write_text("province,city,value\n" + "".join(f"A,a{i},{i}e200\n" for i in range(1, 6)))
+        assert run_cli("stats", "--input", str(src), "--out-dir", str(tmp_path / "stats")) == 0
+        s, k = _sk_points(tmp_path / "stats")["A"]
+        assert (s, k) == (pytest.approx(0.0, abs=1e-15), pytest.approx(1.7, rel=1e-14))
+        with pytest.raises(OverflowError, match="variance"):
+            run_cli("pipeline", "--input", str(src), "--out-dir", str(tmp_path / "pipe"))
+
+    def test_all_equal_tiny_values_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "tiny.csv"
+        src.write_text("province,city,value\n" + "".join(f"AA,c{i},1e-310\n" for i in range(6)))
+        out = tmp_path / "out"
+        assert run_cli("stats", "--input", str(src), "--out-dir", str(out)) == 3
+        assert "no group met" in capsys.readouterr().err
+        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 3
+        assert (out / "skipped_groups.csv").read_text() == "group,n,reason\nAA,6,zero variance\n"
+        assert "pooled_stats: skipped: all values are equal; variance is zero" in (out / "manifest.txt").read_text()
 
 
 class TestMinNOne:

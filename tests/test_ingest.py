@@ -1,7 +1,13 @@
+import hashlib
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skbeta import ingest
 from skbeta.errors import (
     EmptyInputError,
     IntegrityError,
@@ -18,8 +24,11 @@ from skbeta.ingest import (
     parse_city_csv,
     read_sk_points,
     read_value_column,
+    read_text,
     write_grouped_csv,
 )
+from skbeta.moments import group_sk_points, sk_points_to_csv
+from skbeta.synthetic import synthetic_grouped_dataset
 
 
 def write(tmp_path, name, text):
@@ -218,6 +227,12 @@ class TestProvinceFixture:
         assert ds.n_groups == 110
         assert all(len(v) == 1 for v in ds.groups.values())
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_ati_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "s.csv", f"province,ati_eur,population,n_cities\nAA,1e9,5,2\nBB,{cell},5,2\n")
+        with pytest.raises(ParseError, match=f"line 3: non-finite number '{cell}'"):
+            load_province_summary(path)
+
     def test_missing_column_in_summary(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("province,ati_eur,population\nAA,1,2\n")
@@ -263,7 +278,180 @@ class TestPointAndColumnReaders:
         with pytest.raises(EmptyInputError):
             reader(path)
 
+    @pytest.mark.parametrize(
+        "s, k, cell",
+        [("nan", "4.0", "nan"), ("1.0", "inf", "inf"), ("-Infinity", "4.0", "-Infinity"),
+         ("1.0", "1e400", "1e400"), ("NaN", "nan", "NaN")],
+    )
+    def test_sk_points_non_finite_rejected(self, tmp_path, s, k, cell):
+        path = write(tmp_path, "p.csv", f"group,s,k,n\na,0.5,2.5,9\nb,{s},{k},9\n")
+        with pytest.raises(ParseError, match=f"line 3: non-finite number '{cell}'"):
+            read_sk_points(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " Infinity ", "1e400"])
+    def test_value_column_non_finite_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "v.csv", f"value\n3\n\n{cell}\n")
+        with pytest.raises(ParseError, match=f"line 4: non-finite number '{cell.strip()}'"):
+            read_value_column(path, "value")
+
 
 def test_grouped_dataset_accessors():
     ds = GroupedDataset(groups={"A": (1.0, 2.0)}, value_label="v")
     assert ds.n_groups == 1 and ds.n_rows == 2
+
+
+def test_grouped_dataset_layout():
+    ds = GroupedDataset({"B": [3.0, 1.0], "A": (2.5,), "E": []}, "v")
+    assert ds.keys == ("B", "A", "E")
+    assert ds.counts.tolist() == [2, 1, 0]
+    assert ds.values.dtype == np.float64 and ds.values.tolist() == [3.0, 1.0, 2.5]
+    assert ds.groups == {"B": (3.0, 1.0), "A": (2.5,), "E": ()}
+    assert all(type(v) is float for vals in ds.groups.values() for v in vals)
+    assert ds == GroupedDataset({"B": (3.0, 1.0), "A": [2.5], "E": ()}, "v")
+    assert ds != GroupedDataset({"B": (3.0, 1.0), "A": [2.5]}, "v")
+    assert ds != GroupedDataset({"B": (3.0, 1.0), "A": [2.5], "E": ()}, "w")
+
+
+class TestColumnarFastPath:
+    """``parse_city_csv`` reads plain files column-wise; ``_parse_rows`` is
+    the row-by-row reader it falls back to."""
+
+    @staticmethod
+    def both(path, column_map=None):
+        return ingest._columnar(read_text(path), column_map), ingest._parse_rows(
+            path, read_text(path), column_map
+        )
+
+    @pytest.mark.parametrize(
+        "newline, delim, bom",
+        [("\n", ",", b""), ("\r\n", ",", b""), ("\n", "\t", b""), ("\r\n", "\t", b"\xef\xbb\xbf")],
+    )
+    def test_plain_files_take_the_fast_path(self, tmp_path, newline, delim, bom):
+        ds = synthetic_grouped_dataset(n_groups=7, seed=2, min_size=3, max_size=9)
+        lines = [delim.join(("province", "city", "value"))] + [
+            delim.join((key, f"c{i}", repr(v)))
+            for key, vals in ds.groups.items()
+            for i, v in enumerate(vals)
+        ]
+        path = tmp_path / "m.csv"
+        path.write_bytes(bom + newline.join(lines).encode() + newline.encode())
+        fast, slow = self.both(path)
+        assert fast is not None
+        assert fast == slow == ds
+
+    def test_interleaved_groups_keep_first_appearance_and_file_order(self, tmp_path):
+        path = write(tmp_path, "m.csv", "province,city,value\nB,x,1\nA,x,2\nB,x,3\nC,x,4\nA,x,5\n")
+        fast, slow = self.both(path)
+        assert fast is not None and fast == slow
+        assert fast.groups == {"B": (1.0, 3.0), "A": (2.0, 5.0), "C": (4.0,)}
+
+    def test_small_chunks_give_the_same_dataset(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_grouped_csv(synthetic_grouped_dataset(n_groups=12, seed=4), path)
+        with mock.patch.object(ingest, "_CHUNK_CHARS", 37):
+            fast, slow = self.both(path)
+        assert fast is not None and fast == slow
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "AA,c,1\nAA,c\nAA,c,2,3\n",  # a short line next to a long one
+            "AA,c,2,3\nAA,c\nAA,c,1\n",  # a long line next to a short one
+            "AA,c\n5,BB,c,7\n",  # the same, cells that still parse when realigned
+            "AA,c,1\n\nAA,c,2\n",  # a blank line
+            " AA,c,1\n",  # a padded key
+            ",c,1\n",  # an empty key
+            'AA,c,"1"\n',  # a quote
+            "AA,c,nan\n",
+            *(f"AA,c,1\nAA,c{char}d,1\n" for char in '"\0\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'),
+        ],
+    )
+    def test_anything_else_falls_back(self, tmp_path, body):
+        path = write(tmp_path, "m.csv", "province,city,value\n" + body)
+        assert ingest._columnar(read_text(path), None) is None
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except (ParseError, SchemaError, EmptyInputError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# A valid file plus at most two defects, so that each check of the fast path
+# meets files that pass every other check.
+_valid_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["AA", "BB", "C c", "Zé"]),
+        st.sampled_from(["c", " c", ""]),
+        st.sampled_from(["1", "2.5", "0", "-0", "1e-300", "7e300", "1e5", "3"]),
+    ).map(list),
+    min_size=1,
+    max_size=10,
+)
+_DEFECTS = [
+    *((2, v) for v in ("nan", "inf", "1e400", "-1", "x", "", '"4"', "1_000", " 3 ", "0x10")),
+    *((0, k) for k in ("", " AA", "AA ", '"AA"')),
+    *((1, c) for c in ("c\rd", "c\x0bd", "c\x85d", "c\x00d", "c\u2028d", '"c"', " c ")),
+    *(("line", kind) for kind in ("short", "long", "blank", "spaces", "empty cells")),
+]
+_defects = st.lists(
+    st.tuples(st.integers(0, 9), st.sampled_from(_DEFECTS)), max_size=2
+)
+
+
+def _damage(rows, defects):
+    rows = [list(r) for r in rows]
+    for at, (where, what) in sorted(defects, key=lambda d: d[1][0] == "line"):
+        i = at % len(rows)
+        if where != "line":
+            rows[i][where] = what
+        elif what == "short":
+            rows[i] = rows[i][:-1]
+        elif what == "long":
+            rows[i] = rows[i] + ["x"]
+        else:
+            rows.insert(i, {"blank": [""], "spaces": ["  "], "empty cells": ["", " ", ""]}[what])
+    return rows
+
+
+@given(
+    rows=_valid_rows,
+    defects=_defects,
+    delim=st.sampled_from([",", "\t"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    bom=st.booleans(),
+    trailing=st.booleans(),
+    extra=st.booleans(),
+    chunk=st.sampled_from([5, 40, 1 << 20]),
+)
+@settings(max_examples=400, deadline=None)
+def test_fast_path_agrees_with_row_reader(
+    tmp_path_factory, rows, defects, delim, newline, bom, trailing, extra, chunk
+):
+    header = ["province", "city", "value"] + (["extra"] if extra else [])
+    body = [row + ["x"] if extra and len(row) == 3 else row for row in _damage(rows, defects)]
+    lines = [delim.join(header)] + [delim.join(row) for row in body]
+    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if trailing else "")
+    path = tmp_path_factory.mktemp("prop") / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(lambda: ingest._parse_rows(path, read_text(path), None))
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
+        assert _outcome(lambda: parse_city_csv(path)) == expected
+
+
+class TestPinnedBytes:
+    """The benchmark's inputs and the S/K point file keep their bytes."""
+
+    def test_synthetic_microdata_digest(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_grouped_csv(synthetic_grouped_dataset(seed=0), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "e9b369b4b3e234d3ade8b1f6ad48b91c9f1e1bada15b6cef371eac6b21591c9f"
+
+    def test_sk_points_csv_digest(self):
+        groups = {"a": [1, 2, 3, 4, 9], "b": [2, 4, 8, 16, 32, 64], "c": [0.5, 0.25, 0.125, 4.0]}
+        text = sk_points_to_csv(group_sk_points(groups).points)
+        assert "np." not in text
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "e4c72c503b5d37a6dc7441342eea444dd574a728cb93c24adddb718a2ffa1779"

@@ -13,10 +13,12 @@ from skbeta.errors import (
     ZeroVarianceError,
 )
 from skbeta.moments import (
+    REL_STD_FLOOR,
     central_moments,
     detect_outliers,
     group_sk_points,
     histogram,
+    segment_moments,
     shape_moments,
     sk_points_to_csv,
     summarize,
@@ -284,3 +286,77 @@ def test_summary_block_has_expected_rows():
         "ρ", "μ−2σ", "μ+2σ",
     ):
         assert name in block
+
+
+def _longdouble_shape(xs):
+    x = np.asarray(xs, dtype=np.longdouble)
+    d = x - x.mean()
+    m2, m3, m4 = ((d**i).mean() for i in (2, 3, 4))
+    return float(m3 / m2**1.5), float(m4 / (m2 * m2))
+
+
+class TestSegmentMoments:
+    def test_segments_match_reference(self):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(2, 40, size=50)
+        values = rng.lognormal(3.0, 1.2, size=int(counts.sum()))
+        m = segment_moments(values, counts)
+        s, k = m.shape()
+        assert not m.flat.any()
+        for i, seg in enumerate(np.split(values, np.cumsum(counts)[:-1])):
+            s_ref, k_ref = _longdouble_shape(seg)
+            assert s[i] == pytest.approx(s_ref, rel=1e-12, abs=1e-12)
+            assert k[i] == pytest.approx(k_ref, rel=1e-12)
+            assert m.mean[i] == pytest.approx(float(np.mean(seg, dtype=np.longdouble)), rel=1e-15)
+            assert m.central(2)[i] == pytest.approx(float(np.var(seg, dtype=np.longdouble)), rel=1e-13)
+
+    def test_one_value_segment_is_flat(self):
+        m = segment_moments(np.array([4.0, 1.0, 2.0, 3.0]), [1, 3])
+        assert m.flat.tolist() == [True, False]
+        assert m.n.tolist() == [1, 3]
+
+    XS = [1.0, 2.0, 3.0, 4.0, 9.0, 2.5]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e80, 1e200, 1e300])
+    def test_shape_is_scale_free(self, scale):
+        s0, k0 = shape_moments(self.XS)
+        s1, k1 = shape_moments([x * scale for x in self.XS])
+        assert s1 == pytest.approx(s0, rel=1e-13)
+        assert k1 == pytest.approx(k0, rel=1e-13)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e80, 1e150])
+    def test_summary_within_float_range(self, scale):
+        summary = summarize([x * scale for x in self.XS])
+        assert math.isfinite(summary.std_dev) and summary.std_dev > 0.0
+        assert summary.rms == pytest.approx(scale * summarize(self.XS).rms, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_variance_beyond_float_range_raises(self, scale):
+        xs = [x * scale for x in self.XS]
+        with pytest.raises(OverflowError, match="variance"):
+            summarize(xs)
+        with pytest.raises(OverflowError, match="mu2, mu3, mu4"):
+            central_moments(xs)
+
+    def test_sums_beyond_float_range(self):
+        xs = [1.7e308, 1.0e308, 1.2e308, 0.5e308]  # their sum overflows
+        s, k = shape_moments(xs)
+        s_ref, k_ref = shape_moments([x / 1e308 for x in xs])
+        assert (s, k) == (pytest.approx(s_ref, rel=1e-13), pytest.approx(k_ref, rel=1e-13))
+        assert segment_moments(np.array(xs), [4]).mean[0] == pytest.approx(1.1e308, rel=1e-15)
+        with pytest.raises(OverflowError, match="sum"):
+            summarize(xs)
+
+    def test_rounding_noise_is_zero_variance(self):
+        xs = [1.0, 1.0 + 1e-15, 1.0, 1.0]
+        with pytest.raises(UndefinedShapeError, match="equal to rounding"):
+            shape_moments(xs)
+        res = group_sk_points({"noise": xs, "ok": [1.0, 2.0, 3.0, 7.0]}, min_n=4)
+        assert [(g.group_key, g.reason) for g in res.skipped] == [("noise", "zero variance")]
+
+    def test_floor_is_relative_to_the_mean(self):
+        spread = 4 * REL_STD_FLOOR
+        assert shape_moments([1.0 - spread, 1.0 + spread, 1.0, 1.0])
+        assert shape_moments([-spread, spread, 0.0, 0.0])  # mean 0: any spread counts
+        with pytest.raises(UndefinedShapeError):
+            shape_moments([1.0 - spread / 8, 1.0 + spread / 8, 1.0, 1.0])

@@ -23,7 +23,6 @@ from .errors import (
     ParseError,
     SchemaError,
     SkbetaError,
-    UnsupportedDerivationError,
 )
 from .ingest import parse_city_csv, read_sk_points, read_text, read_value_column
 
@@ -195,7 +194,7 @@ def _simulate(out: Path, cfg: urnsim.UrnConfig, k_min: int | None, fmt: str):
     result = urnsim.run(cfg)
     try:
         b = urnsim.predicted_b(cfg)
-    except (UnsupportedDerivationError, ValueError):
+    except ValueError:
         b = None
     _write(out / "sim_hist.csv", urnsim.sim_csv(result, cfg, b))
     block = urnsim.sim_block(result, cfg)

@@ -92,10 +92,6 @@ class NonNormalizableError(SkbetaError):
     """The limit pmf does not normalize (requires b > 1)."""
 
 
-class UnsupportedDerivationError(SkbetaError):
-    """The closed-form exponent prediction is only derived for k0 = 1."""
-
-
 class InsufficientDataError(SkbetaError):
     """Not enough tail data to estimate a slope."""
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skbeta import ingest
+from skbeta.cli import main
 from skbeta.errors import (
     EmptyInputError,
     IntegrityError,
@@ -441,7 +442,7 @@ def test_fast_path_agrees_with_row_reader(
 
 
 class TestPinnedBytes:
-    """The benchmark's inputs and the S/K point file keep their bytes."""
+    """The benchmark's inputs, the S/K point file and the urn artifacts keep their bytes."""
 
     def test_synthetic_microdata_digest(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -455,3 +456,37 @@ class TestPinnedBytes:
         assert "np." not in text
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "e4c72c503b5d37a6dc7441342eea444dd574a728cb93c24adddb718a2ffa1779"
+
+    @pytest.mark.parametrize(
+        "a_shift, alpha, digests",
+        [
+            (
+                "-0.5",
+                "0.5",
+                {
+                    "sim_hist.csv": "585a6d00dda4a4689cf5b024d07e165bff04673b7475ec0d0ecbd8238321075c",
+                    "sim_summary.txt": "56a84beebc06efc14c1e598c64796a876d0214ccdddc2cf40c5f82716275ca8d",
+                    "sim_result.json": "9d717462b3deaf6c75f68b12b7f64af7935d90e99885c4de95a371c506dfe44b",
+                },
+            ),
+            (
+                "1.0",
+                "0.3",
+                {
+                    "sim_hist.csv": "e1bdbd0e7d89ad9f1305f165a52ec29bf32c9d52c7fa4da889099c434850e218",
+                    "sim_summary.txt": "71315b59393c5942a71da9ddf40b40c7aafcd01b14dbce21ea2f6a805ac697cc",
+                    "sim_result.json": "13fd8242fc4a79b61c49e9cb231c3c2356fa2a2dcfa52ed312d6f8096176a1a5",
+                },
+            ),
+        ],
+    )
+    def test_simulate_digests(self, tmp_path, a_shift, alpha, digests):
+        out = tmp_path / "out"
+        argv = ["simulate", "--k0", "1", "--a-shift", a_shift, "--alpha", alpha,
+                "--steps", "200000", "--seed", "11", "--format", "json", "--out-dir", str(out)]
+        assert main(argv) == 0
+        for name, digest in digests.items():
+            data = (out / name).read_bytes()
+            # a numpy 2 scalar reprs as np.float64(...); none may reach a file
+            assert b"np." not in data, name
+            assert hashlib.sha256(data).hexdigest() == digest, name

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from skbeta import betadist
-from skbeta.errors import InsufficientDataError, UnsupportedDerivationError
+from skbeta import betadist, urnsim
+from skbeta.errors import InsufficientDataError
 from skbeta.urnsim import (
     SimResult,
     UrnConfig,
@@ -81,6 +81,51 @@ class TestRun:
         assert math.fsum(res.empirical_pmf.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_run(config: UrnConfig) -> tuple[int, ...]:
+    """The urn one step at a time, reading the PCG64 stream as ``run`` must:
+    a decision uniform per step (create below alpha) and, on attach steps, a
+    pick uniform over U (k0 + a_shift) + (added balls)."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    k0, alpha, base = config.k0, config.alpha, config.k0 + config.a_shift
+    sizes = [k0]
+    owners: list[int] = []  # the urn of each ball an attach step added
+    for _ in range(config.steps):
+        if rng.random() < alpha:
+            sizes.append(k0)
+            continue
+        n = len(sizes)
+        urn_mass = n * base
+        v = rng.random() * (urn_mass + len(owners))
+        if v < urn_mass:
+            i = min(int(v / base), n - 1)
+        else:
+            i = owners[min(int(v - urn_mass), len(owners) - 1)]
+        sizes[i] += 1
+        owners.append(i)
+    return tuple(sizes)
+
+
+class TestReplaysReference:
+    """``run`` draws the stream in chunks and resolves them with arrays; it
+    must give the reference's sizes exactly, across every chunk seam."""
+
+    @pytest.mark.parametrize("k0, a_shift", [(1, -0.75), (1, 0.5), (2, -1.5), (2, 1.0), (3, -2.75), (3, 2.5)])
+    def test_grid(self, monkeypatch, k0, a_shift):
+        # a 7-uniform chunk ends on an attach decision often, so its pick
+        # is drawn across the seam many times per run
+        monkeypatch.setattr(urnsim, "_CHUNK", 7)
+        for alpha in (0.0, 0.3, 0.9, 1.0):
+            for steps in (0, 1, 2, 37, 1000):
+                for seed in (0, 1, 2024):
+                    cfg = UrnConfig(k0=k0, a_shift=a_shift, alpha=alpha, steps=steps, seed=seed)
+                    assert run(cfg).urn_sizes == reference_run(cfg), cfg
+
+    @pytest.mark.parametrize("a_shift, alpha", [(0.0, 0.5), (-0.5, 0.1)])
+    def test_many_full_chunks(self, a_shift, alpha):
+        cfg = UrnConfig(k0=1, a_shift=a_shift, alpha=alpha, steps=100_000, seed=5)
+        assert run(cfg).urn_sizes == reference_run(cfg)
+
+
 def exact_size_law(cfg: UrnConfig) -> dict[tuple[int, ...], float]:
     """The probability of each ``urn_sizes`` tuple after ``cfg.steps`` steps,
     by enumerating every path: create with probability alpha, else attach to
@@ -141,9 +186,19 @@ class TestPredictedB:
     def test_shifted_attachment(self):
         assert predicted_b(UrnConfig(k0=1, a_shift=1.0, alpha=0.5)) == 4.0
 
-    def test_k0_not_derived(self):
-        with pytest.raises(UnsupportedDerivationError):
-            predicted_b(UrnConfig(k0=2, alpha=0.5))
+    @pytest.mark.parametrize(
+        "k0, a_shift, alpha",
+        [(2, -1.0, 0.5), (2, 1.0, 0.3), (3, -1.5, 0.7), (3, 2.0, 0.5), (5, -2.5, 0.3), (5, 1.0, 0.5)],
+    )
+    def test_general_k0_matches_simulation(self, k0, a_shift, alpha):
+        cfg = UrnConfig(k0=k0, a_shift=a_shift, alpha=alpha, steps=2_000_000, seed=3)
+        res = run(cfg)
+        b = predicted_b(cfg)
+        assert b == pytest.approx(2 + alpha * (k0 + a_shift) / (1 - alpha), rel=1e-15)
+        tv = tv_distance_to_limit(res, cfg, b)
+        assert tv < 0.005
+        for other in (b - 0.25, b + 0.25):
+            assert tv_distance_to_limit(res, cfg, other) > tv
 
     def test_alpha_open_interval(self):
         with pytest.raises(ValueError):

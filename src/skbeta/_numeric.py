@@ -1,4 +1,8 @@
-"""Numerical helpers shared by the K-S and rank-size fits."""
+"""Numerical helpers shared by the K-S and rank-size fits.
+
+The only module that calls ``np.linalg``: every least-squares solve and
+standard error of the fits goes through ``lstsq`` and ``std_errors``.
+"""
 
 from __future__ import annotations
 
@@ -39,3 +43,26 @@ def r_squared(y: np.ndarray, sse: float) -> float:
     if sst == 0.0:
         return 1.0 if sse <= 1e-300 else 0.0
     return min(max(1.0 - sse / sst, 0.0), 1.0)
+
+
+def lstsq(x: np.ndarray, y: np.ndarray):
+    """``(coef, resid, sse)`` of ``x @ coef ~ y`` by an SVD solve.
+
+    A rank-deficient ``x`` (a flat series zeroes a Gauss-Newton Jacobian
+    column) gives the minimum-norm solution instead of raising.
+    """
+    coef = np.linalg.lstsq(x, y, rcond=None)[0]
+    resid = y - x @ coef
+    return coef, resid, float(resid @ resid)
+
+
+def std_errors(jac: np.ndarray, sse: float) -> np.ndarray:
+    """sqrt(sigma^2 diag((J^T J)^+)), sigma^2 = sse / (m - k) or 0 if m <= k.
+
+    diag((J^T J)^+) is the row sums of squares of pinv(J): finite for a
+    singular J too.
+    """
+    m, k = jac.shape
+    sigma2 = sse / (m - k) if m > k else 0.0
+    pinv = np.linalg.pinv(jac)
+    return np.sqrt(sigma2 * (pinv * pinv).sum(axis=1))

@@ -158,6 +158,8 @@ def _rank_fit(out: Path, values, variant: str, stem: str, fmt: str):
             "sse": result.sse,
             "n": result.n,
             "converged": result.converged,
+            "stop": result.stop,
+            "iterations": result.iterations,
         }
         _write_json(out / f"{stem}.json", payload)
     return result, [f"{stem}.txt", f"{stem}_series.csv"]

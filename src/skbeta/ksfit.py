@@ -12,12 +12,11 @@ output, residuals included, is bit-identical under input permutation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import golden_min, r_squared
+from ._numeric import golden_min, lstsq, r_squared, std_errors
 from .errors import FitDomainError, SingularDesignError, UndefinedHelpVariableError
 from .moments import SKPoint
 
@@ -52,45 +51,33 @@ class KSFitResult:
     warnings: tuple[str, ...] = ()
 
 
-def _canonical(points) -> list[SKPoint]:
+def _canonical(points):
+    """The points in canonical order, with their S and K arrays."""
     pts = list(points)
     if not pts:
         raise ValueError("no points to fit")
-    return sorted(pts, key=lambda p: (p.s, p.k, p.n, p.group_key))
-
-
-def _ols(x: np.ndarray, y: np.ndarray):
-    xtx = x.T @ x
-    try:
-        coef = np.linalg.solve(xtx, x.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(f"design matrix is singular: {exc}") from exc
-    resid = y - x @ coef
-    return coef, resid, float(resid @ resid), xtx
+    pts.sort(key=lambda p: (p.s, p.k, p.n, p.group_key))
+    return pts, np.array([p.s for p in pts]), np.array([p.k for p in pts])
 
 
 def fit_quadratic(points) -> KSFitResult:
     """Ordinary least squares of K on S^2 (model K = p S^2 + q)."""
-    pts = _canonical(points)
+    pts, s, y = _canonical(points)
     n = len(pts)
     if n < 3:
         raise ValueError(f"quadratic fit needs at least 3 points, got {n}")
-    s = np.array([p.s for p in pts])
-    y = np.array([p.k for p in pts])
     if len(set((v * v) for v in s)) < 2:
         raise SingularDesignError("all S^2 values are equal; cannot fit p and q")
     x = np.column_stack([s * s, np.ones(n)])
-    coef, resid, sse, xtx = _ols(x, y)
-    dof = n - 2
-    sigma2 = sse / dof
-    cov = sigma2 * np.linalg.inv(xtx)
+    coef, resid, sse = lstsq(x, y)
+    se_p, se_q = std_errors(x, sse)
     return KSFitResult(
         model="quadratic",
         p=float(coef[0]),
         q=float(coef[1]),
         nu=2.0,
-        se_p=float(math.sqrt(max(cov[0, 0], 0.0))),
-        se_q=float(math.sqrt(max(cov[1, 1], 0.0))),
+        se_p=float(se_p),
+        se_q=float(se_q),
         se_nu=0.0,
         r_squared=r_squared(y, sse),
         sse=sse,
@@ -100,22 +87,13 @@ def fit_quadratic(points) -> KSFitResult:
     )
 
 
-def _profile_sse(nu: float, s: np.ndarray, y: np.ndarray) -> float:
-    x = np.column_stack([s**nu, np.ones(len(s))])
-    try:
-        _, _, sse, _ = _ols(x, y)
-    except SingularDesignError:
-        return math.inf
-    return sse
-
-
 def fit_power(points) -> KSFitResult:
     """Least squares of K = p S^nu + q with nu profiled over [0.5, 4].
 
     Requires S > 0 everywhere (real powers).  Standard errors come from
     the linearized three-parameter Jacobian at the optimum.
     """
-    pts = _canonical(points)
+    pts, s, y = _canonical(points)
     n = len(pts)
     if n < 4:
         raise ValueError(f"power fit needs at least 4 points, got {n}")
@@ -124,11 +102,12 @@ def fit_power(points) -> KSFitResult:
             raise FitDomainError(
                 f"power fit requires S > 0; group {p.group_key!r} has S = {p.s}"
             )
-    s = np.array([p.s for p in pts])
-    y = np.array([p.k for p in pts])
+    if np.all(s == s[0]):
+        raise SingularDesignError("all S values are equal; cannot fit p, q and nu")
 
     lo, hi = NU_BRACKET
-    nu = golden_min(lambda v: _profile_sse(v, s, y), lo, hi)
+    ones = np.ones(n)
+    nu = golden_min(lambda v: lstsq(np.column_stack([s**v, ones]), y)[2], lo, hi)
 
     warnings = []
     if nu - lo < 1e-6 or hi - nu < 1e-6:
@@ -136,18 +115,12 @@ def fit_power(points) -> KSFitResult:
             f"no interior minimum: nu = {nu!r} sits at the bracket boundary {NU_BRACKET}"
         )
 
-    x = np.column_stack([s**nu, np.ones(n)])
-    coef, resid, sse, _ = _ols(x, y)
+    x = np.column_stack([s**nu, ones])
+    coef, resid, sse = lstsq(x, y)
     p_hat, q_hat = float(coef[0]), float(coef[1])
 
-    jac = np.column_stack([s**nu, np.ones(n), p_hat * s**nu * np.log(s)])
-    dof = n - 3
-    sigma2 = sse / dof if dof > 0 else 0.0
-    try:
-        cov = sigma2 * np.linalg.inv(jac.T @ jac)
-        ses = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        ses = np.full(3, math.nan)
+    jac = np.column_stack([x, p_hat * x[:, 0] * np.log(s)])
+    ses = std_errors(jac, sse)
     return KSFitResult(
         model="power",
         p=p_hat,

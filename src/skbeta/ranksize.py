@@ -8,10 +8,14 @@ Model family (r = 1 is the smallest value, N the series length):
 * ``lav5``        y = kappa * (r + phi)**-gamma * (N + 1 - r + psi)**-xi
 * ``lav4``        y = kappa * r**xi * (N - r + psi)**-gamma
 
-``lav3`` is exactly ``lav5`` at phi = psi = 0.  Each fit builds a log-space
-least-squares initializer (profiling psi for ``lav4``), then refines with a
-damped Gauss-Newton pass on raw values; the refined raw-space SSE never
-exceeds the initializer's.  R^2 is reported in raw space.
+``lav3`` is exactly ``lav5`` at phi = psi = 0.  Each law is log-linear in
+its exponents, ln y = ln(scale) + sum_j theta_j g_j(r, N), and one table,
+``_log_terms``, gives the columns g_j together with d ln y / d(offset) for
+the offsets phi and psi.  Evaluation, the Jacobian and the initializer are
+all built on it.  Each fit builds a log-space least-squares initializer with
+the offsets at zero (profiling psi for ``lav4``), then refines with a damped
+Gauss-Newton pass on raw values and records why it stopped; the refined
+raw-space SSE never exceeds the initializer's.  R^2 is reported in raw space.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._numeric import golden_min, r_squared
+from ._numeric import golden_min, lstsq, r_squared, std_errors
 from .betadist import BetaParams
 from .errors import EmptyInputError, FitDomainError, UnsupportedVariantError
 
@@ -100,8 +104,13 @@ class RankFitResult:
     r_squared: float
     sse: float
     n: int
-    converged: bool
+    stop: str  # why Gauss-Newton stopped, or "initializer" if its result was dropped
+    iterations: int
     profile_sse: float  # raw-space SSE of the initializer stage
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("tolerance", "no descent")
 
 
 def rank_ascending(values) -> RankedSeries:
@@ -114,125 +123,85 @@ def rank_ascending(values) -> RankedSeries:
     return RankedSeries(tuple(sorted(vals)))
 
 
-def _pow(base: float, expo: float) -> float:
-    if base <= 0.0:
-        raise FitDomainError(f"nonpositive base {base} in rank-model power")
-    return base**expo
+def _log_terms(variant: RankVariant, theta, r: np.ndarray, n: int):
+    """The rank-model table: ``(g, dlog)`` for fit-space parameters ``theta``.
+
+    ``theta[0]`` is ln(scale) and the rest are the raw parameters, the
+    exponents first and the offsets (lav5's phi and psi, lav4's psi) last.
+    ``ln f = theta[0] + sum_j theta[1 + j] * g[j]`` over the exponents, and
+    ``dlog`` holds d ln f / d(offset) for each offset.
+    """
+    if variant is RankVariant.ZIPF:
+        return [-np.log(r)], []
+    if variant is RankVariant.YULE_SIMON:
+        return [-np.log(r), -r], []
+    if variant is RankVariant.LAV3:
+        return [-np.log(r), -np.log(n - r + 1.0)], []
+    if variant is RankVariant.LAV5:
+        b1, b2 = _positive(r + theta[3], n + 1.0 - r + theta[4])
+        return [-np.log(b1), -np.log(b2)], [-theta[1] / b1, -theta[2] / b2]
+    if variant is RankVariant.LAV4:
+        (b2,) = _positive(n - r + theta[3])
+        return [-np.log(b2), np.log(r)], [-theta[1] / b2]
+    raise UnsupportedVariantError(f"unknown variant {variant}")
+
+
+def _positive(*bases: np.ndarray):
+    for b in bases:
+        if b.min() <= 0.0:
+            raise FitDomainError(f"nonpositive base {b.min()} in a rank-model power")
+    return bases
+
+
+def _eval_vec(variant: RankVariant, theta, r: np.ndarray, n: int):
+    """Model values at fit-space ``theta``, with the table's ``g`` and ``dlog``."""
+    g, dlog = _log_terms(variant, theta, r, n)
+    ln_f = theta[0] + theta[1] * g[0]
+    for t, col in zip(theta[2:], g[1:]):
+        ln_f += t * col
+    return np.exp(ln_f), g, dlog
+
+
+def _spec_values(spec: RankModelSpec, r: np.ndarray, n: int) -> np.ndarray:
+    theta = (math.log(spec.params[0]),) + spec.params[1:]
+    return _eval_vec(spec.variant, theta, r, n)[0]
 
 
 def eval_rank_model(spec: RankModelSpec, r: int, n: int) -> float:
     """Evaluate one rank model at rank r for a series of length n."""
     if not 1 <= r <= n:
         raise ValueError(f"rank must lie in 1..{n}, got {r}")
-    p = spec.named()
-    v = spec.variant
-    if v is RankVariant.ZIPF:
-        return p["d"] * _pow(r, -p["alpha"])
-    if v is RankVariant.YULE_SIMON:
-        return p["d"] * _pow(r, -p["alpha"]) * math.exp(-p["lam"] * r)
-    if v is RankVariant.LAV3:
-        return p["kappa"] * _pow(r, -p["gamma"]) * _pow(n - r + 1.0, -p["xi"])
-    if v is RankVariant.LAV5:
-        return (
-            p["kappa"]
-            * _pow(r + p["phi"], -p["gamma"])
-            * _pow(n + 1.0 - r + p["psi"], -p["xi"])
-        )
-    if v is RankVariant.LAV4:
-        return p["kappa"] * _pow(r, p["xi"]) * _pow(n - r + p["psi"], -p["gamma"])
-    raise UnsupportedVariantError(f"unknown variant {spec.variant}")
-
-
-def _eval_vec(variant: RankVariant, theta: np.ndarray, r: np.ndarray, n: int):
-    # theta in fit space: theta[0] = ln(scale), remaining raw.
-    if variant is RankVariant.ZIPF:
-        return np.exp(theta[0] - theta[1] * np.log(r))
-    if variant is RankVariant.YULE_SIMON:
-        return np.exp(theta[0] - theta[1] * np.log(r) - theta[2] * r)
-    if variant is RankVariant.LAV3:
-        return np.exp(
-            theta[0] - theta[1] * np.log(r) - theta[2] * np.log(n - r + 1.0)
-        )
-    if variant is RankVariant.LAV5:
-        b1 = r + theta[3]
-        b2 = n + 1.0 - r + theta[4]
-        if np.any(b1 <= 0.0) or np.any(b2 <= 0.0):
-            raise FitDomainError("nonpositive base in lav5 power")
-        return np.exp(theta[0] - theta[1] * np.log(b1) - theta[2] * np.log(b2))
-    if variant is RankVariant.LAV4:
-        b2 = n - r + theta[3]
-        if np.any(b2 <= 0.0):
-            raise FitDomainError("nonpositive base in lav4 power")
-        return np.exp(theta[0] + theta[2] * np.log(r) - theta[1] * np.log(b2))
-    raise UnsupportedVariantError(f"unknown variant {variant}")
+    return float(_spec_values(spec, np.array([float(r)]), n)[0])
 
 
 def _jacobian(variant: RankVariant, theta: np.ndarray, r: np.ndarray, n: int):
-    f = _eval_vec(variant, theta, r, n)
-    cols = [f]
-    if variant is RankVariant.ZIPF:
-        cols.append(-f * np.log(r))
-    elif variant is RankVariant.YULE_SIMON:
-        cols.append(-f * np.log(r))
-        cols.append(-f * r)
-    elif variant is RankVariant.LAV3:
-        cols.append(-f * np.log(r))
-        cols.append(-f * np.log(n - r + 1.0))
-    elif variant is RankVariant.LAV5:
-        b1 = r + theta[3]
-        b2 = n + 1.0 - r + theta[4]
-        cols.append(-f * np.log(b1))
-        cols.append(-f * np.log(b2))
-        cols.append(-theta[1] * f / b1)
-        cols.append(-theta[2] * f / b2)
-    elif variant is RankVariant.LAV4:
-        b2 = n - r + theta[3]
-        cols.append(-f * np.log(b2))
-        cols.append(f * np.log(r))
-        cols.append(-theta[1] * f / b2)
-    return f, np.column_stack(cols)
+    f, g, dlog = _eval_vec(variant, theta, r, n)
+    return f, np.column_stack([f] + [f * col for col in g + dlog])
 
 
-def _logspace_ols(design: np.ndarray, ln_y: np.ndarray):
-    coef, *_ = np.linalg.lstsq(design, ln_y, rcond=None)
-    resid = ln_y - design @ coef
-    return coef, float(resid @ resid)
+def _log_fit(variant, theta: np.ndarray, r: np.ndarray, ln_y: np.ndarray, n: int):
+    """Log-space least squares of ln(scale) and the exponents at theta's offsets."""
+    g, _ = _log_terms(variant, theta, r, n)
+    coef, _, sse = lstsq(np.column_stack([np.ones(len(r))] + g), ln_y)
+    return np.concatenate([coef, theta[len(coef):]]), sse
 
 
 def _initial_theta(variant, r, y, n):
+    """Log-space fit with every offset at zero; lav4 profiles psi instead."""
     ln_y = np.log(y)
-    ones = np.ones(len(r))
-    ln_r = np.log(r)
-    if variant is RankVariant.ZIPF:
-        coef, _ = _logspace_ols(np.column_stack([ones, -ln_r]), ln_y)
-        return np.array([coef[0], coef[1]])
-    if variant is RankVariant.YULE_SIMON:
-        coef, _ = _logspace_ols(np.column_stack([ones, -ln_r, -r]), ln_y)
-        return np.array([coef[0], coef[1], coef[2]])
-    if variant is RankVariant.LAV3:
-        coef, _ = _logspace_ols(
-            np.column_stack([ones, -ln_r, -np.log(n - r + 1.0)]), ln_y
-        )
-        return np.array([coef[0], coef[1], coef[2]])
-    if variant is RankVariant.LAV5:
-        base = _initial_theta(RankVariant.LAV3, r, y, n)
-        return np.array([base[0], base[1], base[2], 0.0, 0.0])
+    theta = np.zeros(len(PARAM_NAMES[variant]))
     if variant is RankVariant.LAV4:
         def profile(psi: float) -> float:
-            design = np.column_stack([ones, -np.log(n - r + psi), ln_r])
-            return _logspace_ols(design, ln_y)[1]
+            theta[3] = psi
+            return _log_fit(variant, theta, r, ln_y, n)[1]
 
-        psi = golden_min(profile, 1e-8, PSI_BRACKET[1])
-        coef, _ = _logspace_ols(
-            np.column_stack([ones, -np.log(n - r + psi), ln_r]), ln_y
-        )
-        return np.array([coef[0], coef[1], coef[2], psi])
-    raise UnsupportedVariantError(f"unknown variant {variant}")
+        theta[3] = golden_min(profile, 1e-8, PSI_BRACKET[1])
+    return _log_fit(variant, theta, r, ln_y, n)[0]
 
 
 def _sse(variant, theta, r, y, n) -> float:
     try:
-        f = _eval_vec(variant, theta, r, n)
+        f = _eval_vec(variant, theta, r, n)[0]
     except FitDomainError:
         return math.inf
     if not np.all(np.isfinite(f)):
@@ -242,54 +211,31 @@ def _sse(variant, theta, r, y, n) -> float:
 
 
 def _gauss_newton(variant, theta0, r, y, n, max_iter=200):
-    theta = theta0.copy()
+    """Damped Gauss-Newton on raw values: ``(theta, sse, stop, iterations)``.
+
+    ``stop`` is ``"tolerance"`` (the SSE fell by at most 1e-14 relative),
+    ``"no descent"`` (40 step halvings found no lower SSE) or
+    ``"max_iter"``; ``iterations`` counts the Jacobians evaluated.
+    """
+    theta = theta0
     sse = _sse(variant, theta, r, y, n)
-    converged = False
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         f, jac = _jacobian(variant, theta, r, n)
-        resid = y - f
-        try:
-            step = np.linalg.solve(jac.T @ jac, jac.T @ resid)
-        except np.linalg.LinAlgError:
-            break
+        step = lstsq(jac, y - f)[0]
         lam = 1.0
-        new_theta = None
-        new_sse = math.inf
         for _ in range(40):
             cand = theta + lam * step
             cand_sse = _sse(variant, cand, r, y, n)
             if cand_sse < sse:
-                new_theta, new_sse = cand, cand_sse
                 break
             lam *= 0.5
-        if new_theta is None:
-            converged = True  # no descent direction left: at a minimum
-            break
-        drop = sse - new_sse
-        theta, sse = new_theta, new_sse
+        else:
+            return theta, sse, "no descent", it
+        drop = sse - cand_sse
+        theta, sse = cand, cand_sse
         if drop <= 1e-14 * max(sse, 1e-300):
-            converged = True
-            break
-    else:
-        converged = False
-    return theta, sse, converged
-
-
-def _raw_std_errors(variant, theta, r, y, n, sse):
-    # Jacobian with respect to the raw parameters (scale itself, not its log).
-    f, jac = _jacobian(variant, theta, r, n)
-    scale = math.exp(theta[0])
-    jac = jac.copy()
-    jac[:, 0] = jac[:, 0] / scale  # d f / d scale = f / scale
-    k = jac.shape[1]
-    dof = len(y) - k
-    sigma2 = sse / dof if dof > 0 else 0.0
-    try:
-        cov = sigma2 * np.linalg.inv(jac.T @ jac)
-        diag = np.clip(np.diag(cov), 0.0, None)
-    except np.linalg.LinAlgError:
-        diag = np.clip(np.diag(sigma2 * np.linalg.pinv(jac.T @ jac)), 0.0, None)
-    return tuple(float(math.sqrt(v)) for v in diag)
+            return theta, sse, "tolerance", it
+    return theta, sse, "max_iter", max_iter
 
 
 def fit_rank_model(values, variant) -> RankFitResult:
@@ -311,27 +257,29 @@ def fit_rank_model(values, variant) -> RankFitResult:
     r = np.arange(1.0, n + 1.0)
     theta0 = _initial_theta(variant, r, y, n)
     init_sse = _sse(variant, theta0, r, y, n)
-    theta, sse, converged = _gauss_newton(variant, theta0, r, y, n)
+    theta, sse, stop, iterations = _gauss_newton(variant, theta0, r, y, n)
     if not math.isfinite(sse) or sse > init_sse:
-        theta, sse, converged = theta0, init_sse, False
+        theta, sse, stop = theta0, init_sse, "initializer"
 
     params = (math.exp(theta[0]),) + tuple(float(v) for v in theta[1:])
-    spec = RankModelSpec(variant, params)
-    ses = _raw_std_errors(variant, theta, r, y, n, sse)
+    # Jacobian with respect to the raw parameters: d f / d scale = f / scale.
+    _, jac = _jacobian(variant, theta, r, n)
+    jac[:, 0] /= params[0]
     return RankFitResult(
-        spec=spec,
-        std_errors=ses,
+        spec=RankModelSpec(variant, params),
+        std_errors=tuple(float(v) for v in std_errors(jac, sse)),
         r_squared=r_squared(y, sse),
         sse=sse,
         n=n,
-        converged=converged,
+        stop=stop,
+        iterations=iterations,
         profile_sse=init_sse,
     )
 
 
 def fitted_values(result: RankFitResult) -> list[float]:
-    spec = result.spec
-    return [eval_rank_model(spec, rank, result.n) for rank in range(1, result.n + 1)]
+    n = result.n
+    return _spec_values(result.spec, np.arange(1.0, n + 1.0), n).tolist()
 
 
 def rank_fit_to_beta(result: RankFitResult) -> BetaParams:
@@ -356,6 +304,8 @@ def result_block(result: RankFitResult) -> str:
     lines.append(f"sse: {result.sse!r}")
     lines.append(f"n: {result.n}")
     lines.append(f"converged: {result.converged}")
+    lines.append(f"stop: {result.stop}")
+    lines.append(f"iterations: {result.iterations}")
     lines.append("fit_space: raw")
     lines.append("r2_space: raw")
     if result.spec.variant is RankVariant.LAV4:

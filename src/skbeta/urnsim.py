@@ -261,7 +261,7 @@ def tv_distance_to_limit(result: SimResult, config: UrnConfig, b: float | None =
     """
     if b is None:
         b = predicted_b(config)
-    kmax = max(result.urn_sizes)
+    kmax = max(result.empirical_pmf)
     acc = []
     limit_mass = 0.0
     for k in range(config.k0, kmax + 1):
@@ -293,7 +293,7 @@ def sim_block(result: SimResult, config: UrnConfig) -> str:
         f"seed: {config.seed}",
         f"n_urns: {result.n_urns}",
         f"total_balls: {result.total_balls}",
-        f"max_size: {max(result.urn_sizes)}",
+        f"max_size: {max(result.empirical_pmf)}",
     ]
     try:
         b = predicted_b(config)

@@ -111,6 +111,22 @@ class TestRankFit:
         assert (out / "rank_lav4_k.txt").exists()
         assert (out / "rank_lav4_k_series.csv").exists()
 
+    def test_json_reports_stop_reason(self, tmp_path):
+        src = tmp_path / "values.csv"
+        src.write_text("value\n" + "\n".join(str(1.0 + 0.2 * i * i) for i in range(30)) + "\n")
+        out = tmp_path / "out"
+        rc = run_cli(
+            "rank-fit", "--input", str(src), "--out-dir", str(out), "--format", "json",
+        )
+        assert rc == 0
+        payload = json.loads((out / "rank_lav4.json").read_text())
+        assert payload["stop"] in ("tolerance", "no descent", "max_iter", "initializer")
+        assert payload["converged"] == (payload["stop"] in ("tolerance", "no descent"))
+        assert payload["iterations"] >= 1
+        block = (out / "rank_lav4.txt").read_text()
+        assert f"stop: {payload['stop']}\n" in block
+        assert f"iterations: {payload['iterations']}\n" in block
+
 
 class TestBetaCalibrate:
     def test_hand_pair(self, tmp_path):

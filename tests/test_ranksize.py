@@ -1,9 +1,11 @@
+import math
 import random
 import time
 
 import numpy as np
 import pytest
 
+from skbeta import ranksize
 from skbeta.errors import EmptyInputError, FitDomainError, UnsupportedVariantError
 from skbeta.ranksize import (
     RankModelSpec,
@@ -152,6 +154,30 @@ class TestFitRankModel:
         with pytest.raises(ValueError):
             fit_rank_model([1.0, 2.0, 3.0], "lav4")
 
+    def test_stop_reasons(self, monkeypatch):
+        fit = fit_rank_model(lav4_series(*ATIK_PARAMS, 110), "lav4")
+        assert fit.stop in ("tolerance", "no descent") and fit.converged
+        assert 1 <= fit.iterations < 200
+        flat = fit_rank_model([4.2] * 30, "lav4")
+        assert (flat.stop, flat.converged) == ("no descent", True)
+
+        r = np.arange(1.0, 111.0)
+        y = np.array(lav4_series(*ATIK_PARAMS, 110))
+        theta0 = np.array([0.0, 0.0, 0.0, 1.0])
+        *_, stop, iterations = ranksize._gauss_newton(
+            RankVariant.LAV4, theta0, r, y, 110, max_iter=1
+        )
+        assert (stop, iterations) == ("max_iter", 1)
+
+        def diverged(variant, theta0, r, y, n):
+            return theta0, math.inf, "tolerance", 7
+
+        monkeypatch.setattr(ranksize, "_gauss_newton", diverged)
+        fallback = fit_rank_model(y, "lav4")
+        assert (fallback.stop, fallback.iterations) == ("initializer", 7)
+        assert not fallback.converged
+        assert fallback.sse == fallback.profile_sse
+
     def test_accepts_ranked_series(self):
         series = RankedSeries(tuple(lav4_series(*ATIK_PARAMS, 30)))
         fit = fit_rank_model(series, RankVariant.LAV4)
@@ -189,7 +215,8 @@ def test_serialization():
     data = lav4_series(*ATIK_PARAMS, 40)
     fit = fit_rank_model(data, "lav4")
     block = result_block(fit)
-    for key in ("kappa:", "gamma:", "xi:", "psi:", "R^2:", "beta_a:", "beta_b:"):
+    for key in ("kappa:", "gamma:", "xi:", "psi:", "R^2:", "beta_a:", "beta_b:",
+                "stop:", "iterations:"):
         assert key in block
     csv_text = series_csv(fit, rank_ascending(data))
     lines = csv_text.strip().splitlines()

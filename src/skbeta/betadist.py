@@ -89,7 +89,7 @@ def beta_function(a: float, b: float) -> float:
     """Euler Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b)."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta_function requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return math.exp(_ln_beta(a, b))
 
 
 def beta_pdf(x: float, params: BetaParams) -> float:
@@ -110,8 +110,7 @@ def beta_pdf(x: float, params: BetaParams) -> float:
         if b < 1.0:
             return math.inf
         return float(a) if b == 1.0 else 0.0
-    ln_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - ln_b)
+    return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _ln_beta(a, b))
 
 
 def _beta_contfrac(a: float, b: float, x: float) -> float:
@@ -163,21 +162,18 @@ def beta_cdf(x: float, params: BetaParams) -> float:
     Uses the symmetry I_x(a, b) = 1 - I_(1-x)(b, a) to stay on the
     fast-converging branch; absolute error below 1e-10 on [0, 1].
     """
-    a, b = params.a, params.b
     if x < 0.0 or x > 1.0:
         raise ValueError(f"beta_cdf requires x in [0, 1], got {x}")
+    return _cdf(x, params.a, params.b, _ln_beta(params.a, params.b))
+
+
+def _cdf(x: float, a: float, b: float, ln_b: float) -> float:
+    """``beta_cdf`` for x in [0, 1] with ln B(a, b) given, so a curve computes it once."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_b)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_contfrac(a, b, x) / a
     return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
@@ -249,19 +245,8 @@ def calibrate_from_sk(s: float, k: float) -> BetaCalibration:
                 ab=ab,
             )
         disc = 0.0  # symmetric pair up to roundoff
-    sqrt_disc = math.sqrt(disc)
-    root_hi = 0.5 * rho * (1.0 + sqrt_disc)
-    root_lo = 0.5 * rho * (1.0 - sqrt_disc)
-
-    # Cross-check against direct root extraction of x^2 - rho x + ab = 0.
-    quad_disc = max(rho * rho - 4.0 * ab, 0.0)
-    alt_hi = 0.5 * (rho + math.sqrt(quad_disc))
-    alt_lo = ab / alt_hi if alt_hi > 0.0 else root_lo
-    scale = max(1.0, abs(rho))
-    if abs(alt_hi - root_hi) > 1e-9 * scale or abs(alt_lo - root_lo) > 1e-9 * scale:
-        raise InternalCheckError(
-            f"root formulas disagree: ({root_lo}, {root_hi}) vs ({alt_lo}, {alt_hi})"
-        )
+    root_hi = 0.5 * rho * (1.0 + math.sqrt(disc))
+    root_lo = ab / root_hi  # rho (1 - sqrt(disc)) / 2 cancels when ab << rho^2
 
     if s > 0.0:
         a_sel, b_sel = root_lo, root_hi
@@ -328,16 +313,20 @@ def _lgamma_diff(x: float, c: float) -> float:
     )
 
 
+def _ln_beta(a: float, b: float) -> float:
+    """ln B(a, b), accurate when one argument is large (see ``_lgamma_diff``)."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    return math.lgamma(lo) + _lgamma_diff(hi, lo)
+
+
 def yule_simon_pmf(k: int, b: float) -> float:
-    """Yule-Simon pmf b * B(k, b + 1) on integers k >= 1."""
+    """Yule-Simon pmf b * B(k, b + 1) on k >= 1: the urn limit law at k0 = 1, a = 0."""
     k = operator.index(k)
     if k < 1:
         raise ValueError(f"yule_simon_pmf requires k >= 1, got {k}")
     if not b > 0.0:
         raise ValueError(f"yule_simon_pmf requires b > 0, got {b}")
-    return math.exp(
-        math.log(b) + math.lgamma(k) + math.lgamma(b + 1.0) - math.lgamma(k + b + 1.0)
-    )
+    return urn_limit_pmf(k, 1, 0.0, b + 1.0)
 
 
 def urn_limit_pmf(k: int, k0: int, a: float, b: float) -> float:
@@ -372,11 +361,12 @@ def cdf_curve(params: BetaParams, n_points: int = 512) -> list[tuple[float, floa
     """Sample the CDF at n_points uniform x values on [0, 1]."""
     if n_points < 2:
         raise ValueError("cdf_curve needs at least 2 points")
+    ln_b = _ln_beta(params.a, params.b)
     step = 1.0 / (n_points - 1)
     out = []
     for i in range(n_points):
         x = 1.0 if i == n_points - 1 else i * step
-        out.append((x, beta_cdf(x, params)))
+        out.append((x, _cdf(x, params.a, params.b, ln_b)))
     return out
 
 

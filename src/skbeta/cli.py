@@ -66,6 +66,15 @@ def _resolve(flag_value, config: dict[str, str], key: str, default, cast):
         raise ParseError(f"config key {key!r}: {exc}") from exc
 
 
+def _switch(value: str) -> bool:
+    """A config on/off value: exactly 1/true/yes or 0/false/no."""
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1, true, yes, 0, false or no, got {value!r}")
+
+
 def _check_counts(min_n: int, bins: int) -> None:
     for name, value in (("min_n", min_n), ("bins", bins)):
         if value < 1:
@@ -233,12 +242,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    out = Path(args.out_dir)
-    if args.model.startswith("rank:"):
-        variant = args.model.split(":", 1)[1]
-        _rank_fit(out, _rank_series(args), variant, f"rank_{variant}", args.format)
-    else:
-        _ks_fit(out, read_sk_points(args.input), args.model, args.format)
+    if args.model.startswith("rank:"):  # the same run as ``rank-fit --variant <v>``
+        args.variant = args.model.split(":", 1)[1]
+        return cmd_rank_fit(args)
+    _ks_fit(Path(args.out_dir), read_sk_points(args.input), args.model, args.format)
     return 0
 
 
@@ -277,7 +284,7 @@ def cmd_pipeline(args) -> int:
     bins = _resolve(args.bins, config_file, "bins", 10, int)
     seed = _resolve(args.seed, config_file, "seed", 0, int)
     _check_counts(min_n, bins)
-    do_sim = args.simulate or config_file.get("simulate", "0") in ("1", "true", "yes")
+    do_sim = _resolve(None, config_file, "simulate", False, _switch) or args.simulate
     sim_cfg = None
     if do_sim:
         sim_cfg = _urn_config(
@@ -351,8 +358,8 @@ def cmd_pipeline(args) -> int:
         "fit_space: raw",
         "r2_space: raw",
         "ranking: ascending (rank 1 = smallest)",
-        "nu_bracket: [0.5, 4]",
-        "psi_bracket: (0, 2]",
+        "nu_bracket: [{:g}, {:g}]".format(*ksfit.NU_BRACKET),
+        "psi_bracket: ({:g}, {:g}]".format(*ranksize.PSI_BRACKET),
         "",
         "sections:",
     ]

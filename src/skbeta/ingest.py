@@ -175,6 +175,9 @@ def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset
     already stripped, and values that ``float`` reads as finite and
     nonnegative.  The text is split 64K characters at a time.
     """
+    stop = len(text)  # trailing blank lines are skipped, as ``_read_rows`` does
+    while stop and text[stop - 1] == "\n":
+        stop -= 1
     pos = text.find("\n") + 1
     if not pos or any(c in text for c in _NOT_PLAIN):
         return None
@@ -190,9 +193,9 @@ def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset
     width, p, v = len(header), columns["province"], columns["value"]
     codes: dict[str, int] = {}
     code_runs, value_runs = [], []
-    while pos < len(text):
-        end = text.find("\n", pos + _CHUNK_CHARS)
-        end = len(text) if end < 0 else end + 1
+    while pos < stop:
+        end = text.find("\n", pos + _CHUNK_CHARS, stop)
+        end = stop if end < 0 else end + 1
         chunk = text[pos:end].removesuffix("\n")
         pos = end
         if not _cells_per_line(chunk, delim, width):

@@ -1,10 +1,13 @@
+import ast
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+import skbeta
 from skbeta.betadist import (
     BetaCalibration,
     BetaParams,
@@ -99,6 +102,11 @@ class TestBetaFunction:
     def test_domain(self):
         with pytest.raises(ValueError):
             beta_function(0.0, 1.0)
+
+    def test_large_argument(self):
+        # B(a, 2) = 1 / (a (a + 1)); a sum of direct lgamma values is off by 1.6e-9 here
+        a = 1e6
+        assert beta_function(a, 2.0) * a * (a + 1.0) == pytest.approx(1.0, rel=1e-13)
 
 
 class TestBetaPdf:
@@ -302,6 +310,25 @@ class TestCalibration:
         assert cal.selected.a == pytest.approx(a, abs=1e-6)
         assert cal.selected.b == pytest.approx(b, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "a, b, s, k",
+        [
+            (1e-4, 1e4, 199.97000274961258, 59979.00599838043),
+            (1e-5, 1e5, 632.4460452876567, 599979.0005999837),
+        ],
+    )
+    def test_extreme_pair(self, a, b, s, k):
+        # (s, k) is the float skewness and kurtosis of Beta(a, b).  The small
+        # root is ab / root_hi: rho (1 - sqrt(disc)) / 2 cancels here and
+        # failed the round trip.  b follows rho = 6 (K - S^2 - 1) / (6 + 3 S^2
+        # - 2 K), whose denominator (~12) is a difference of terms near 3 S^2,
+        # so rounding S and K alone moves b by up to ~6e-12 relative.
+        cal = calibrate_from_sk(s, k)
+        assert cal.selected.a == pytest.approx(a, rel=1e-12)
+        assert cal.selected.b == pytest.approx(b, rel=1e-10)
+        assert beta_skewness(cal.selected) == pytest.approx(s, rel=1e-12)
+        assert beta_kurtosis(cal.selected) == pytest.approx(k, rel=1e-12)
+
 
 class TestYuleSimon:
     def test_first_mass(self):
@@ -321,6 +348,12 @@ class TestYuleSimon:
             yule_simon_pmf(1, 0.0)
         with pytest.raises(TypeError):
             yule_simon_pmf(1.5, 1.0)
+
+    @pytest.mark.parametrize("b", [0.5, 1.5, 3.0])
+    def test_ratio_identity_at_large_k(self, b):
+        k = 10**6
+        ratio = yule_simon_pmf(k + 1, b) / yule_simon_pmf(k, b)
+        assert ratio == pytest.approx(k / (k + b + 1.0), rel=1e-13)
 
 
 class TestUrnLimitPmf:
@@ -382,6 +415,31 @@ def test_cdf_curve_endpoints_and_csv():
     assert lines[1] == "# b=4.9668"
     assert lines[2] == "x,cdf"
     assert len(lines) == 3 + 16
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 4.5, 30.0, 300.0])
+@pytest.mark.parametrize("b", [0.3, 1.0, 4.5, 30.0, 300.0])
+def test_cdf_curve_is_beta_cdf(a, b):
+    params = BetaParams(a, b)
+    curve = cdf_curve(params, 128)
+    assert curve == [(x, beta_cdf(x, params)) for x, _ in curve]
+
+
+def test_lgamma_only_in_log_gamma_helpers():
+    """ln B(a, b) has one implementation; every other log-gamma goes through it."""
+    allowed = {"ln_gamma", "_ln_beta", "_lgamma_diff"}
+    src = pathlib.Path(skbeta.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if name not in allowed and "lgamma" in (
+                    getattr(sub, "attr", None),  # math.lgamma
+                    getattr(sub, "id", None),  # lgamma, imported from math
+                ):
+                    offenders.append(f"{path.name}:{sub.lineno}")
+    assert offenders == []
 
 
 def test_beta_params_validation():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from skbeta import betadist
+from skbeta import betadist, ksfit, ranksize
 from skbeta.cli import main
 from skbeta.errors import InternalCheckError, SkbetaError
 from skbeta.ingest import GroupedDataset, bundled_fixture_path, write_grouped_csv
@@ -87,6 +87,29 @@ class TestFit:
         assert fitted["gamma"] == pytest.approx(0.2884, abs=1e-4)
         assert fitted["xi"] == pytest.approx(0.8853, abs=1e-4)
         assert fitted["psi"] == pytest.approx(0.2649, abs=1e-4)
+
+    def test_rank_model_target_in_file_names(self, tmp_path):
+        src = tmp_path / "skp.csv"
+        src.write_text(
+            "group,s,k,n\n"
+            + "\n".join(f"g{i},{0.5 + 0.1 * i},{2.0 + 0.3 * i * i},9" for i in range(20))
+            + "\n"
+        )
+        out = tmp_path / "out"
+        for target in ("s", "k"):
+            rc = run_cli(
+                "fit", "--input", str(src), "--model", "rank:lav4",
+                "--target", target, "--out-dir", str(out),
+            )
+            assert rc == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == [
+            "rank_lav4_k.txt", "rank_lav4_k_series.csv", "rank_lav4_s.txt", "rank_lav4_s_series.csv",
+        ]
+        rank_fit_out = tmp_path / "rank_fit"
+        assert run_cli("rank-fit", "--input", str(src), "--target", "k", "--out-dir", str(rank_fit_out)) == 0
+        for name in ("rank_lav4_k.txt", "rank_lav4_k_series.csv"):
+            assert (out / name).read_bytes() == (rank_fit_out / name).read_bytes()
 
     def test_missing_input_columns(self, tmp_path):
         src = tmp_path / "skp.csv"
@@ -233,6 +256,17 @@ class TestPipeline:
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
+    def test_manifest_brackets_follow_the_search_constants(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--synthetic", "--out-dir", str(out)) == 0
+        manifest = (out / "manifest.txt").read_text()
+        assert "nu_bracket: [0.5, 4]\npsi_bracket: (0, 2]\n" in manifest
+        monkeypatch.setattr(ksfit, "NU_BRACKET", (0.25, 6.5))
+        monkeypatch.setattr(ranksize, "PSI_BRACKET", (0.0, 3.0))
+        assert run_cli("pipeline", "--synthetic", "--out-dir", str(out)) == 0
+        manifest = (out / "manifest.txt").read_text()
+        assert "nu_bracket: [0.25, 6.5]\npsi_bracket: (0, 3]\n" in manifest
+
     def test_simulation_section_on_request(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("simulate = 1\nsim_steps = 2000\n")
@@ -339,6 +373,29 @@ class TestExitCodes:
         rc = run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out))
         assert rc == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["True", "on", "2", "", "yes please"])
+    def test_pipeline_bad_simulate_value_exits_2_before_output(self, tmp_path, capsys, value):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"simulate = {value}\n")
+        out = tmp_path / "o"
+        for flag in ((), ("--simulate",)):
+            rc = run_cli("pipeline", "--synthetic", *flag, "--config", str(cfg), "--out-dir", str(out))
+            assert rc == 2
+            assert "config key 'simulate'" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, section",
+        [("1", "ok"), ("true", "ok"), ("yes", "ok"), ("0", "skipped: not requested"),
+         ("false", "skipped: not requested"), ("no", "skipped: not requested")],
+    )
+    def test_pipeline_simulate_values(self, tmp_path, value, section):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"simulate = {value}\nsim_steps = 200\n")
+        out = tmp_path / "o"
+        assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 0
+        assert f"  simulate: {section}\n" in (out / "manifest.txt").read_text()
 
     def test_pipeline_bad_urn_config_ignored_without_simulate(self, tmp_path):
         cfg = tmp_path / "p.cfg"

@@ -353,6 +353,17 @@ class TestColumnarFastPath:
             fast, slow = self.both(path)
         assert fast is not None and fast == slow
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("blank_lines", [1, 2, 3])
+    def test_trailing_blank_lines_take_the_fast_path(self, tmp_path, newline, blank_lines):
+        path = tmp_path / "m.csv"
+        write_grouped_csv(synthetic_grouped_dataset(n_groups=5, seed=6), path)
+        text = path.read_text().replace("\n", newline) + newline * blank_lines
+        path.write_bytes(text.encode())
+        with mock.patch.object(ingest, "_CHUNK_CHARS", 37):
+            fast, slow = self.both(path)
+        assert fast is not None and fast == slow
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -360,6 +371,7 @@ class TestColumnarFastPath:
             "AA,c,2,3\nAA,c\nAA,c,1\n",  # a long line next to a short one
             "AA,c\n5,BB,c,7\n",  # the same, cells that still parse when realigned
             "AA,c,1\n\nAA,c,2\n",  # a blank line
+            "AA,c,1\n \n",  # a trailing whitespace-only line
             " AA,c,1\n",  # a padded key
             ",c,1\n",  # an empty key
             'AA,c,"1"\n',  # a quote

@@ -326,7 +326,7 @@ def yule_simon_pmf(k: int, b: float) -> float:
         raise ValueError(f"yule_simon_pmf requires k >= 1, got {k}")
     if not b > 0.0:
         raise ValueError(f"yule_simon_pmf requires b > 0, got {b}")
-    return urn_limit_pmf(k, 1, 0.0, b + 1.0)
+    return _urn_law(k, 1, 0.0, b + 1.0, b)
 
 
 def urn_limit_pmf(k: int, k0: int, a: float, b: float) -> float:
@@ -349,10 +349,15 @@ def urn_limit_pmf(k: int, k0: int, a: float, b: float) -> float:
         )
     if k < k0:
         return 0.0
+    return _urn_law(k, k0, a, b, b - 1.0)
+
+
+def _urn_law(k: int, k0: int, a: float, b: float, b_minus_1: float) -> float:
+    """``urn_limit_pmf`` at k >= k0 with b - 1 given exactly, unchecked."""
     ln_ratio = (
         _lgamma_diff(k + a, b)
-        - _lgamma_diff(k0 + a, b - 1.0)
-        + math.log(b - 1.0)  # lgamma(b) - lgamma(b-1)
+        - _lgamma_diff(k0 + a, b_minus_1)
+        + math.log(b_minus_1)  # lgamma(b) - lgamma(b-1)
     )
     return math.exp(ln_ratio)
 

@@ -183,9 +183,9 @@ def _calibrate(out: Path, s: float, k: float, stem: str, cdf: str, fmt: str):
     return cal, [f"{stem}.txt", cdf]
 
 
-def _beta_moments(out: Path, values, stem: str):
+def _beta_moments(out: Path, values, stem: str, fmt: str):
     s, k = moments.shape_moments(values)
-    return _calibrate(out, s, k, stem, f"{stem}_cdf.csv", "csv")
+    return _calibrate(out, s, k, stem, f"{stem}_cdf.csv", fmt)
 
 
 def _beta_rank(out: Path, fit: ranksize.RankFitResult, stem: str):
@@ -295,6 +295,7 @@ def cmd_pipeline(args) -> int:
             seed=seed,
         )
     out = Path(args.out_dir)  # made by the first write, after the input parsed
+    fmt = args.format
     if args.synthetic:
         dataset = synthetic.synthetic_grouped_dataset(seed=seed)
         source = f"synthetic(seed={seed})"
@@ -330,22 +331,22 @@ def cmd_pipeline(args) -> int:
         _write_skipped(out, exc.skipped)
     points = groups.points
     no_points = "" if points else "insufficient group sizes"
-    run("group_stats", no_points, _group_stats, out, groups, bins, "csv")
+    run("group_stats", no_points, _group_stats, out, groups, bins, fmt)
     series = (("s", [p.s for p in points]), ("k", [p.k for p in points]))
 
     for model in ("quadratic", "power"):
-        run(f"fit_{model}", no_points, _ks_fit, out, points, model, "csv")
+        run(f"fit_{model}", no_points, _ks_fit, out, points, model, fmt)
     rank_fits = {
-        t: run(f"rank_{t}", no_points, _rank_fit, out, vals, "lav4", f"rank_{t}", args.format)
+        t: run(f"rank_{t}", no_points, _rank_fit, out, vals, "lav4", f"rank_{t}", fmt)
         for t, vals in series
     }
     for t, vals in series:
-        run(f"beta_moments_{t}", no_points, _beta_moments, out, vals, f"beta_moments_{t}")
+        run(f"beta_moments_{t}", no_points, _beta_moments, out, vals, f"beta_moments_{t}", fmt)
     for t, _ in series:
         unmet = no_points or ("" if rank_fits[t] else "lav4 fit unavailable")
         run(f"beta_rank_{t}", unmet, _beta_rank, out, rank_fits[t], f"beta_rank_{t}")
 
-    run("simulate", "" if do_sim else "not requested", _simulate, out, sim_cfg, None, "csv")
+    run("simulate", "" if do_sim else "not requested", _simulate, out, sim_cfg, None, fmt)
 
     failed = any(status not in ("ok", "skipped: not requested") for _, status, _ in sections)
     manifest = [
@@ -369,7 +370,7 @@ def cmd_pipeline(args) -> int:
     status_line = "partial (see skipped sections)" if failed else "complete"
     manifest += ["", f"status: {status_line}"]
     _write(out / "manifest.txt", "\n".join(manifest) + "\n")
-    if args.format == "json":
+    if fmt == "json":
         meta = {"version": __version__, "source": source, "seed": seed, "status": status_line}
         rows = [{"name": n, "status": s, "files": f} for n, s, f in sections]
         _write_json(out / "manifest.json", {**meta, "sections": rows})

@@ -1,8 +1,8 @@
 """Least-squares fits of the kurtosis-skewness relation K = p S^nu + q.
 
-The quadratic model fixes nu = 2 and is linear in (p, q); the power model
-profiles nu by golden-section search over [0.5, 4], the model being linear
-in (p, q) at each candidate nu.  Fitting happens in raw (K, S) space (the
+The quadratic model fixes nu = 2; the power model profiles nu by
+golden-section search over [0.5, 4].  At its nu each calls one core that
+solves the linear (p, q) problem.  Fitting happens in raw (K, S) space (the
 additive q, which can be negative, forbids log transforms) and R^2 is
 reported in raw space as well.
 
@@ -60,6 +60,31 @@ def _canonical(points):
     return pts, np.array([p.s for p in pts]), np.array([p.k for p in pts])
 
 
+def _fit_at(model: str, pts, s, y, nu: float, warnings=()) -> KSFitResult:
+    """K = p S^nu + q with (p, q) by least squares at a given nu; a searched
+    nu (the power model) adds its column to the standard errors' Jacobian."""
+    x = np.column_stack([s**nu, np.ones(len(pts))])
+    coef, resid, sse = lstsq(x, y)
+    p, q = float(coef[0]), float(coef[1])
+    searched = model == "power"
+    ses = std_errors(np.column_stack([x, p * x[:, 0] * np.log(s)]) if searched else x, sse)
+    return KSFitResult(
+        model=model,
+        p=p,
+        q=q,
+        nu=float(nu),
+        se_p=float(ses[0]),
+        se_q=float(ses[1]),
+        se_nu=float(ses[2]) if searched else 0.0,
+        r_squared=r_squared(y, sse),
+        sse=sse,
+        n_points=len(pts),
+        residuals=tuple(float(r) for r in resid),
+        points=tuple(pts),
+        warnings=tuple(warnings),
+    )
+
+
 def fit_quadratic(points) -> KSFitResult:
     """Ordinary least squares of K on S^2 (model K = p S^2 + q)."""
     pts, s, y = _canonical(points)
@@ -68,23 +93,7 @@ def fit_quadratic(points) -> KSFitResult:
         raise ValueError(f"quadratic fit needs at least 3 points, got {n}")
     if len(set((v * v) for v in s)) < 2:
         raise SingularDesignError("all S^2 values are equal; cannot fit p and q")
-    x = np.column_stack([s * s, np.ones(n)])
-    coef, resid, sse = lstsq(x, y)
-    se_p, se_q = std_errors(x, sse)
-    return KSFitResult(
-        model="quadratic",
-        p=float(coef[0]),
-        q=float(coef[1]),
-        nu=2.0,
-        se_p=float(se_p),
-        se_q=float(se_q),
-        se_nu=0.0,
-        r_squared=r_squared(y, sse),
-        sse=sse,
-        n_points=n,
-        residuals=tuple(float(r) for r in resid),
-        points=tuple(pts),
-    )
+    return _fit_at("quadratic", pts, s, y, 2.0)
 
 
 def fit_power(points) -> KSFitResult:
@@ -108,34 +117,10 @@ def fit_power(points) -> KSFitResult:
     lo, hi = NU_BRACKET
     ones = np.ones(n)
     nu = golden_min(lambda v: lstsq(np.column_stack([s**v, ones]), y)[2], lo, hi)
-
     warnings = []
     if nu - lo < 1e-6 or hi - nu < 1e-6:
-        warnings.append(
-            f"no interior minimum: nu = {nu!r} sits at the bracket boundary {NU_BRACKET}"
-        )
-
-    x = np.column_stack([s**nu, ones])
-    coef, resid, sse = lstsq(x, y)
-    p_hat, q_hat = float(coef[0]), float(coef[1])
-
-    jac = np.column_stack([x, p_hat * x[:, 0] * np.log(s)])
-    ses = std_errors(jac, sse)
-    return KSFitResult(
-        model="power",
-        p=p_hat,
-        q=q_hat,
-        nu=float(nu),
-        se_p=float(ses[0]),
-        se_q=float(ses[1]),
-        se_nu=float(ses[2]),
-        r_squared=r_squared(y, sse),
-        sse=sse,
-        n_points=n,
-        residuals=tuple(float(r) for r in resid),
-        points=tuple(pts),
-        warnings=tuple(warnings),
-    )
+        warnings.append(f"no interior minimum: nu = {nu!r} sits at the bracket boundary {NU_BRACKET}")
+    return _fit_at("power", pts, s, y, nu, warnings)
 
 
 def help_variable_from_pq(p: float, q: float, s: float) -> float:

@@ -254,6 +254,10 @@ def fit_rank_model(values, variant) -> RankFitResult:
         raise ValueError(
             f"{variant.value} fit needs at least {len(names) + 2} values, got {n}"
         )
+    # Fit y * 2^-e, e the binary exponent of the largest value: an exact change
+    # of units that keeps squares and Jacobians in range at any scale.
+    e = math.frexp(y[-1])[1]
+    y = np.ldexp(y, -e)
     r = np.arange(1.0, n + 1.0)
     theta0 = _initial_theta(variant, r, y, n)
     init_sse = _sse(variant, theta0, r, y, n)
@@ -261,14 +265,21 @@ def fit_rank_model(values, variant) -> RankFitResult:
     if not math.isfinite(sse) or sse > init_sse:
         theta, sse, stop = theta0, init_sse, "initializer"
 
-    params = (math.exp(theta[0]),) + tuple(float(v) for v in theta[1:])
+    scale = math.exp(theta[0])
     # Jacobian with respect to the raw parameters: d f / d scale = f / scale.
     _, jac = _jacobian(variant, theta, r, n)
-    jac[:, 0] /= params[0]
+    jac[:, 0] /= scale
+    ses = std_errors(jac, sse)
+    r2 = r_squared(y, sse)
+    # Back to the values' units; an SSE beyond the float range reads inf or 0.0.
+    with np.errstate(over="ignore", under="ignore"):
+        scale, se_scale, sse, init_sse = np.ldexp(
+            [scale, ses[0], sse, init_sse], [e, e, 2 * e, 2 * e]
+        ).tolist()
     return RankFitResult(
-        spec=RankModelSpec(variant, params),
-        std_errors=tuple(float(v) for v in std_errors(jac, sse)),
-        r_squared=r_squared(y, sse),
+        spec=RankModelSpec(variant, (scale,) + tuple(float(v) for v in theta[1:])),
+        std_errors=(se_scale,) + tuple(float(v) for v in ses[1:]),
+        r_squared=r2,
         sse=sse,
         n=n,
         stop=stop,

@@ -202,9 +202,7 @@ def _log_bin_edges(lo: int, hi: int, per_decade: int = 6) -> list[int]:
     while edges[-1] <= hi:
         t *= g
         edges.append(max(edges[-1] + 1, math.ceil(t)))
-    edges[-1] = hi + 1  # clamp: keep the last bin fully covered by data range
-    if len(edges) >= 2 and edges[-1] <= edges[-2]:
-        edges.pop()
+    edges[-1] = hi + 1  # clamp to the data; the loop left edges[-2] <= hi
     return edges
 
 

@@ -355,6 +355,17 @@ class TestYuleSimon:
         ratio = yule_simon_pmf(k + 1, b) / yule_simon_pmf(k, b)
         assert ratio == pytest.approx(k / (k + b + 1.0), rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "k,b,exact",
+        [
+            (1, 1e-10, 1e-10 / (1.0 + 1e-10)),  # b B(1, b + 1) = b / (b + 1)
+            (3, 1e-12, 2e-12 / ((1.0 + 1e-12) * (2.0 + 1e-12) * (3.0 + 1e-12))),
+            (1, 1e-17, 1e-17),  # b + 1 rounds to 1
+        ],
+    )
+    def test_small_b(self, k, b, exact):
+        assert yule_simon_pmf(k, b) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
 
 class TestUrnLimitPmf:
     def test_hand_value(self):

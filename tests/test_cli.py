@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -45,6 +46,17 @@ class TestStats:
         rows = (out / "sk_points.csv").read_text().strip().splitlines()
         assert len(rows) == 2
 
+    def test_json_format(self, tmp_path):
+        src = tmp_path / "m.csv"
+        src.write_text(MICRO + "CC,e1,5\n")
+        out = tmp_path / "out"
+        assert run_cli("stats", "--input", str(src), "--out-dir", str(out), "--format", "json") == 0
+        payload = json.loads((out / "sk_points.json").read_text())
+        assert set(payload) == {"points", "skipped"}
+        rows = [r.split(",") for r in (out / "sk_points.csv").read_text().splitlines()[1:]]
+        assert [[p["group_key"], repr(p["s"]), repr(p["k"]), str(p["n"])] for p in payload["points"]] == rows
+        assert payload["skipped"] == [{"group_key": "CC", "n": 1, "reason": "fewer than 4 values"}]
+
     def test_all_groups_below_threshold(self, tmp_path):
         src = tmp_path / "m.csv"
         src.write_text("province,city,value\nAA,c1,1\nBB,c2,2\n")
@@ -61,6 +73,37 @@ class TestFit:
         assert "p: 2.0" in block and "q: 3.0" in block and "R^2: 1.0" in block
         assert (out / "fit_quadratic_residuals.csv").exists()
         assert (out / "fit_quadratic_curve.csv").exists()
+
+    @pytest.mark.parametrize("model", ["quadratic", "power"])
+    def test_json_format(self, tmp_path, model):
+        src = tmp_path / "skp.csv"
+        s_vals = (0.5, 1.0, 2.0, 3.0, 4.0)
+        nu = 2.0 if model == "quadratic" else 1.5
+        src.write_text("group,s,k,n\n" + "".join(f"g{i},{s!r},{2 * s**nu + 3!r},9\n" for i, s in enumerate(s_vals)))
+        out = tmp_path / "out"
+        assert run_cli("fit", "--input", str(src), "--model", model, "--out-dir", str(out), "--format", "json") == 0
+        payload = json.loads((out / f"fit_{model}.json").read_text())
+        assert set(payload) == {f.name for f in dataclasses.fields(ksfit.KSFitResult)}
+        assert (payload["model"], payload["n_points"], payload["warnings"]) == (model, 5, [])
+        assert [p["group_key"] for p in payload["points"]] == [f"g{i}" for i in range(5)]
+        assert len(payload["residuals"]) == 5
+        assert payload["p"] == pytest.approx(2.0, rel=1e-9)
+        assert payload["q"] == pytest.approx(3.0, rel=1e-9)
+        assert payload["nu"] == pytest.approx(nu, rel=1e-9)
+        assert (payload["se_nu"] == 0.0) == (model == "quadratic")
+        block = (out / f"fit_{model}.txt").read_text()
+        for key in ("p", "se_p", "q", "se_q", "se_nu", "sse"):
+            assert f"\n{key}: {payload[key]!r}\n" in block
+        assert f"\nR^2: {payload['r_squared']!r}\n" in block
+
+    @pytest.mark.parametrize("model", ["quadratic", "power"])
+    def test_two_points_exits_4(self, tmp_path, capsys, model):
+        src = tmp_path / "skp.csv"
+        src.write_text("group,s,k,n\na,0.5,3.0,9\nb,1.0,5.0,9\n")
+        out = tmp_path / "out"
+        assert run_cli("fit", "--input", str(src), "--model", model, "--out-dir", str(out)) == 4
+        assert "needs at least" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_power_zero_s_exits_4(self, tmp_path):
         src = tmp_path / "skp.csv"
@@ -210,6 +253,39 @@ class TestSimulate:
         assert "alpha: 0.25" in summary  # config applies
 
 
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_alpha_at_the_ends_has_no_predicted_b(self, tmp_path, alpha):
+        out = tmp_path / "out"
+        rc = run_cli(
+            "simulate", "--steps", "50", "--alpha", alpha, "--seed", "1",
+            "--out-dir", str(out), "--format", "json",
+        )
+        assert rc == 0
+        summary = (out / "sim_summary.txt").read_text()
+        assert f"predicted_b: unavailable (predicted_b requires alpha in (0, 1), got {float(alpha)!r})\n" in summary
+        rows = (out / "sim_hist.csv").read_text().splitlines()
+        assert rows == ["k,count,frequency,limit_pmf", "51,1,1.0," if alpha == "0" else "1,51,1.0,"]
+        assert json.loads((out / "sim_result.json").read_text())["predicted_b"] is None
+
+    def test_config_comments_and_blank_lines(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("# urn settings\n\n  steps = 300\n   # indented comment\n\nseed=2\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(out)) == 0
+        summary = (out / "sim_summary.txt").read_text()
+        assert "steps: 300\nseed: 2\n" in summary
+
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# settings\n\nseed = 2\nalpha\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out-dir", str(out)]
+        assert run_cli(*argv, *(["--synthetic"] if command == "pipeline" else [])) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config line without '=': 'alpha'\n"
+        assert not out.exists()
+
+
 class TestPipeline:
     def test_synthetic_full_report(self, tmp_path):
         out = tmp_path / "out"
@@ -266,6 +342,40 @@ class TestPipeline:
         assert run_cli("pipeline", "--synthetic", "--out-dir", str(out)) == 0
         manifest = (out / "manifest.txt").read_text()
         assert "nu_bracket: [0.25, 6.5]\npsi_bracket: (0, 3]\n" in manifest
+
+    def test_json_format(self, tmp_path):
+        csv_out, json_out = tmp_path / "csv", tmp_path / "json"
+        argv = ("pipeline", "--synthetic", "--seed", "0", "--simulate")
+        assert run_cli(*argv, "--out-dir", str(csv_out)) == 0
+        assert run_cli(*argv, "--out-dir", str(json_out), "--format", "json") == 0
+        csv_files = {p.name for p in csv_out.iterdir()}
+        json_files = {p.name for p in json_out.iterdir()}
+        sections = [
+            "sk_points", "fit_quadratic", "fit_power", "rank_s", "rank_k",
+            "beta_moments_s", "beta_moments_k", "sim_result", "manifest",
+        ]
+        assert json_files - csv_files == {f"{name}.json" for name in sections}
+        for name in csv_files:
+            assert (csv_out / name).read_bytes() == (json_out / name).read_bytes(), name
+        manifest = json.loads((json_out / "manifest.json").read_text())
+        assert set(manifest) == {"version", "source", "seed", "status", "sections"}
+        assert (manifest["source"], manifest["seed"], manifest["status"]) == ("synthetic(seed=0)", 0, "complete")
+        text = (json_out / "manifest.txt").read_text()
+        assert f"skbeta_version: {manifest['version']}\n" in text
+        for row in manifest["sections"]:
+            assert set(row) == {"name", "status", "files"}
+            listed = f"  {row['name']}: {row['status']}\n" + "".join(f"    - {f}\n" for f in row["files"])
+            assert listed in text
+            assert not any(f.endswith(".json") for f in row["files"])
+        assert [r["name"] for r in manifest["sections"]][-1] == "simulate"
+        fit = json.loads((json_out / "fit_power.json").read_text())
+        assert f"p: {fit['p']!r}\n" in (json_out / "fit_power.txt").read_text()
+
+    def test_neither_input_nor_synthetic_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == "error: pipeline needs --input or --synthetic\n"
+        assert not out.exists()
 
     def test_simulation_section_on_request(self, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -331,6 +441,15 @@ class TestExitCodes:
         cfg.write_text("steps = abc\n")
         assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
         assert "'steps'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "pipeline"])
+    def test_missing_city_column_exits_2(self, tmp_path, capsys, command):
+        src = tmp_path / "m.csv"
+        src.write_text(MICRO)
+        out = tmp_path / "out"
+        assert run_cli(command, "--input", str(src), "--city-column", "town", "--out-dir", str(out)) == 2
+        assert "missing column 'town' (role 'city')" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blank_line_counted_in_sk_points_error(self, tmp_path, capsys):
         src = tmp_path / "skp.csv"
@@ -494,6 +613,28 @@ class TestNumericRange:
         assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 0
         assert "status: complete" in (out / "manifest.txt").read_text()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_rank_fit_is_scale_free(self, tmp_path, scale):
+        noise = np.random.default_rng(17).lognormal(0, 0.05, 110)
+        values = np.array(lav4_series(3.1426, 0.2884, 0.8853, 0.2649, 110)) * noise
+        blocks = {}
+        for name, factor in (("unit", 1.0), ("scaled", scale)):
+            src = tmp_path / f"{name}.csv"
+            src.write_text("value\n" + "".join(f"{float(v) * factor!r}\n" for v in values))
+            assert run_cli("rank-fit", "--input", str(src), "--out-dir", str(tmp_path / name)) == 0
+            text = (tmp_path / name / "rank_lav4.txt").read_text()
+            assert "nan" not in text
+            blocks[name] = dict(line.split(": ", 1) for line in text.splitlines())
+        unit, scaled = blocks["unit"], blocks["scaled"]
+        assert float(scaled["R^2"]) == pytest.approx(float(unit["R^2"]), rel=1e-12)
+        assert scaled["converged"] == "True"
+        # Parameters agree to the ~1e-8 that Gauss-Newton's stop rule fixes
+        # (see test_ranksize.TestScaleFree).
+        for key in ("gamma", "se_gamma", "xi", "se_xi", "psi", "se_psi"):
+            assert float(scaled[key]) == pytest.approx(float(unit[key]), rel=1e-6), key
+        for key in ("kappa", "se_kappa"):
+            assert float(scaled[key]) == pytest.approx(float(unit[key]) * scale, rel=1e-6, abs=0.0), key
 
     def test_pooled_variance_beyond_float_range_raises(self, tmp_path):
         src = tmp_path / "huge.csv"

@@ -1,8 +1,11 @@
+import ast
+import pathlib
 import random
 
 import numpy as np
 import pytest
 
+from skbeta import ksfit
 from skbeta.errors import (
     FitDomainError,
     SingularDesignError,
@@ -174,3 +177,14 @@ def test_serialization_blocks():
     cur = curve_csv(r, n_grid=10)
     assert cur.splitlines()[0] == "s,fitted_k"
     assert len(cur.strip().splitlines()) == 11
+
+
+def test_one_result_constructor():
+    """Both K-S fits build their result in one core."""
+    tree = ast.parse(pathlib.Path(ksfit.__file__).read_text())
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "KSFitResult"
+    ]
+    assert len(calls) == 1, calls

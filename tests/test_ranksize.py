@@ -184,6 +184,43 @@ class TestFitRankModel:
         assert fit.n == 30
 
 
+class TestScaleFree:
+    """Fits of y and c * y agree: exactly when c is a power of two."""
+
+    BASE = np.random.default_rng(7).lognormal(1.0, 0.8, 60)
+
+    @pytest.mark.parametrize("variant", [v.value for v in RankVariant])
+    @pytest.mark.parametrize("power", [500, -500, 990, -990])
+    def test_power_of_two_scale_is_exact(self, variant, power):
+        unit = fit_rank_model(self.BASE, variant)
+        scaled = fit_rank_model(np.ldexp(self.BASE, power), variant)
+        assert scaled.spec.params[1:] == unit.spec.params[1:]
+        assert scaled.std_errors[1:] == unit.std_errors[1:]
+        assert scaled.r_squared == unit.r_squared
+        assert (scaled.stop, scaled.iterations) == (unit.stop, unit.iterations)
+        assert scaled.spec.params[0] == math.ldexp(unit.spec.params[0], power)
+        assert scaled.std_errors[0] == math.ldexp(unit.std_errors[0], power)
+        with np.errstate(over="ignore", under="ignore"):  # 4^990 sse: inf; 4^-990: 0.0
+            assert scaled.sse == float(np.ldexp(unit.sse, 2 * power))
+            assert scaled.profile_sse == float(np.ldexp(unit.profile_sse, 2 * power))
+
+    # Gauss-Newton stops once the SSE falls by at most 1e-14 relative, so a
+    # lav4 fit keeps ~1e-8 of its start: on BASE the golden-section start of
+    # psi moves by 2e-8 between these scales, and the fit by up to 1.9e-8.
+    # zipf is determined to rounding.
+    @pytest.mark.parametrize("variant,rel", [("zipf", 1e-12), ("lav4", 1e-6)])
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_extreme_scale_matches_unit_scale(self, variant, rel, scale):
+        unit = fit_rank_model(self.BASE, variant)
+        scaled = fit_rank_model(self.BASE * scale, variant)
+        assert scaled.spec.params[0] == pytest.approx(unit.spec.params[0] * scale, rel=rel, abs=0.0)
+        assert scaled.std_errors[0] == pytest.approx(unit.std_errors[0] * scale, rel=rel, abs=0.0)
+        assert scaled.spec.params[1:] == pytest.approx(unit.spec.params[1:], rel=rel)
+        assert scaled.std_errors[1:] == pytest.approx(unit.std_errors[1:], rel=rel)
+        assert scaled.r_squared == pytest.approx(unit.r_squared, rel=1e-12)
+        assert scaled.converged
+
+
 class TestRankFitToBeta:
     def test_reference_correspondence(self):
         data = lav4_series(*ATIK_PARAMS, 110)

@@ -21,6 +21,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     InfeasibleMomentPairError,
     InternalCheckError,
@@ -41,6 +43,7 @@ __all__ = [
     "calibrate_from_sk",
     "yule_simon_pmf",
     "urn_limit_pmf",
+    "urn_limit_pmfs",
     "cdf_curve",
     "cdf_curve_csv",
     "calibration_block",
@@ -113,47 +116,53 @@ def beta_pdf(x: float, params: BetaParams) -> float:
     return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _ln_beta(a, b))
 
 
-def _beta_contfrac(a: float, b: float, x: float) -> float:
-    # Continued fraction for the regularized incomplete Beta, evaluated with
-    # the modified Lentz scheme.  Converges fast for x < (a+1)/(a+b+2).
+def _beta_contfrac(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    # Continued fraction for the regularized incomplete Beta at every point
+    # of x, evaluated with the modified Lentz scheme (Thompson & Barnett 1986,
+    # J. Comput. Phys. 64:490).  Converges fast for x < (a+1)/(a+b+2).  Each
+    # point stops at its own convergence and meets the float operations of a
+    # loop over the points in the same order, so its value is that loop's.
     max_iter = 300
     eps = 1e-16
     fpmin = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < fpmin:
-        d = fpmin
+    out = np.empty_like(x)
+    todo = np.arange(x.size)
+    c = np.ones_like(x)
+    d = _floor(1.0 - qab * x / qap, fpmin)
     d = 1.0 / d
     h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
+        d = _floor(1.0 + aa * d, fpmin)
+        c = _floor(1.0 + aa / c, fpmin)
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < fpmin:
-            d = fpmin
-        c = 1.0 + aa / c
-        if abs(c) < fpmin:
-            c = fpmin
+        d = _floor(1.0 + aa * d, fpmin)
+        c = _floor(1.0 + aa / c, fpmin)
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
+        done = np.abs(delta - 1.0) < eps
+        if done.any():
+            out[todo[done]] = h[done]
+            keep = ~done
+            todo, x, c, d, h = todo[keep], x[keep], c[keep], d[keep], h[keep]
+        if not todo.size:
+            return out
     raise InternalCheckError(
-        f"incomplete-beta continued fraction failed to converge for a={a}, b={b}, x={x}"
+        f"incomplete-beta continued fraction failed to converge for a={a}, b={b}, x={x[0]}"
     )
+
+
+def _floor(v: np.ndarray, fpmin: float) -> np.ndarray:
+    """``v`` with each entry of magnitude below ``fpmin`` set to ``fpmin``, in place."""
+    np.putmask(v, np.abs(v) < fpmin, fpmin)
+    return v
 
 
 def beta_cdf(x: float, params: BetaParams) -> float:
@@ -164,19 +173,22 @@ def beta_cdf(x: float, params: BetaParams) -> float:
     """
     if x < 0.0 or x > 1.0:
         raise ValueError(f"beta_cdf requires x in [0, 1], got {x}")
-    return _cdf(x, params.a, params.b, _ln_beta(params.a, params.b))
+    return _cdf([x], params.a, params.b, _ln_beta(params.a, params.b))[0]
 
 
-def _cdf(x: float, a: float, b: float, ln_b: float) -> float:
-    """``beta_cdf`` for x in [0, 1] with ln B(a, b) given, so a curve computes it once."""
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - ln_b)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
+def _cdf(xs: list[float], a: float, b: float, ln_b: float) -> list[float]:
+    """``beta_cdf`` at each x of ``xs`` in [0, 1] with ln B(a, b) given: one
+    continued-fraction pass per branch, the prefactor from ``math`` per point."""
+    split = (a + 1.0) / (a + b + 2.0)
+    out = [0.0 if x == 0.0 else 1.0 for x in xs]
+    for lower in (True, False):
+        idx = [i for i, x in enumerate(xs) if 0.0 < x < 1.0 and (x < split) == lower]
+        x = np.array([xs[i] for i in idx], dtype=float)
+        cf = _beta_contfrac(a, b, x) if lower else _beta_contfrac(b, a, 1.0 - x)
+        for i, f in zip(idx, cf.tolist()):
+            front = math.exp(a * math.log(xs[i]) + b * math.log1p(-xs[i]) - ln_b)
+            out[i] = front * f / a if lower else 1.0 - front * f / b
+    return out
 
 
 def beta_skewness(params: BetaParams) -> float:
@@ -326,7 +338,7 @@ def yule_simon_pmf(k: int, b: float) -> float:
         raise ValueError(f"yule_simon_pmf requires k >= 1, got {k}")
     if not b > 0.0:
         raise ValueError(f"yule_simon_pmf requires b > 0, got {b}")
-    return _urn_law(k, 1, 0.0, b + 1.0, b)
+    return _urn_law(k, 0.0, b + 1.0, *_urn_norm(1, 0.0, b))
 
 
 def urn_limit_pmf(k: int, k0: int, a: float, b: float) -> float:
@@ -336,6 +348,22 @@ def urn_limit_pmf(k: int, k0: int, a: float, b: float) -> float:
     normalization constant to exist.  Decays like k**-b in the tail.
     """
     k = operator.index(k)
+    k0 = _urn_k0(k0, a, b)
+    if k < k0:
+        return 0.0
+    return _urn_law(k, a, b, *_urn_norm(k0, a, b - 1.0))
+
+
+def urn_limit_pmfs(ks, k0: int, a: float, b: float) -> list[float]:
+    """``urn_limit_pmf`` at each integer k of ``ks``, bit for bit, with the
+    arguments checked and the k-free terms computed once."""
+    k0 = _urn_k0(k0, a, b)
+    norm = _urn_norm(k0, a, b - 1.0)
+    return [_urn_law(k, a, b, *norm) if k >= k0 else 0.0 for k in map(operator.index, ks)]
+
+
+def _urn_k0(k0: int, a: float, b: float) -> int:
+    """``k0`` as an int, once the urn law's arguments are checked."""
     k0 = operator.index(k0)
     if k0 < 0:
         raise ValueError(f"urn_limit_pmf requires k0 >= 0, got {k0}")
@@ -347,32 +375,26 @@ def urn_limit_pmf(k: int, k0: int, a: float, b: float) -> float:
         raise NonNormalizableError(
             f"urn limit pmf does not normalize for b = {b} <= 1"
         )
-    if k < k0:
-        return 0.0
-    return _urn_law(k, k0, a, b, b - 1.0)
+    return k0
 
 
-def _urn_law(k: int, k0: int, a: float, b: float, b_minus_1: float) -> float:
-    """``urn_limit_pmf`` at k >= k0 with b - 1 given exactly, unchecked."""
-    ln_ratio = (
-        _lgamma_diff(k + a, b)
-        - _lgamma_diff(k0 + a, b_minus_1)
-        + math.log(b_minus_1)  # lgamma(b) - lgamma(b-1)
-    )
-    return math.exp(ln_ratio)
+def _urn_norm(k0: int, a: float, b_minus_1: float) -> tuple[float, float]:
+    """The k-free terms of the urn law's log, with b - 1 given exactly."""
+    return _lgamma_diff(k0 + a, b_minus_1), math.log(b_minus_1)  # lgamma(b) - lgamma(b-1)
+
+
+def _urn_law(k: int, a: float, b: float, ln_head: float, ln_b_ratio: float) -> float:
+    """``urn_limit_pmf`` at k >= k0, unchecked, from the terms of ``_urn_norm``."""
+    return math.exp(_lgamma_diff(k + a, b) - ln_head + ln_b_ratio)
 
 
 def cdf_curve(params: BetaParams, n_points: int = 512) -> list[tuple[float, float]]:
     """Sample the CDF at n_points uniform x values on [0, 1]."""
     if n_points < 2:
         raise ValueError("cdf_curve needs at least 2 points")
-    ln_b = _ln_beta(params.a, params.b)
     step = 1.0 / (n_points - 1)
-    out = []
-    for i in range(n_points):
-        x = 1.0 if i == n_points - 1 else i * step
-        out.append((x, _cdf(x, params.a, params.b, ln_b)))
-    return out
+    xs = [i * step for i in range(n_points - 1)] + [1.0]
+    return list(zip(xs, _cdf(xs, params.a, params.b, _ln_beta(params.a, params.b))))
 
 
 def cdf_curve_csv(params: BetaParams, n_points: int = 512) -> str:

@@ -112,9 +112,11 @@ def _sk_summary(s_vals, k_vals) -> str:
 # written only for ``fmt == "json"`` and are not listed.
 
 
-def _pooled_stats(out: Path, values):
+def _pooled_stats(out: Path, values, fmt: str):
     pooled = moments.summarize(values)
     _write(out / "pooled_summary.txt", moments.summary_block({"value": pooled}))
+    if fmt == "json":
+        _write_json(out / "pooled_stats.json", dataclasses.asdict(pooled))
     return pooled, ["pooled_summary.txt"]
 
 
@@ -188,15 +190,13 @@ def _beta_moments(out: Path, values, stem: str, fmt: str):
     return _calibrate(out, s, k, stem, f"{stem}_cdf.csv", fmt)
 
 
-def _beta_rank(out: Path, fit: ranksize.RankFitResult, stem: str):
+def _beta_rank(out: Path, fit: ranksize.RankFitResult, stem: str, fmt: str):
     params = ranksize.rank_fit_to_beta(fit)
-    block = (
-        f"a: {params.a!r}\n"
-        f"b: {params.b!r}\n"
-        "source: lav4 exponent correspondence (a = xi + 1, b = gamma + 1)\n"
-    )
-    _write(out / f"{stem}.txt", block)
+    source = "lav4 exponent correspondence (a = xi + 1, b = gamma + 1)"
+    _write(out / f"{stem}.txt", f"a: {params.a!r}\nb: {params.b!r}\nsource: {source}\n")
     _write(out / f"{stem}_cdf.csv", betadist.cdf_curve_csv(params))
+    if fmt == "json":
+        _write_json(out / f"{stem}.json", {**dataclasses.asdict(params), "source": source})
     return params, [f"{stem}.txt", f"{stem}_cdf.csv"]
 
 
@@ -322,7 +322,7 @@ def cmd_pipeline(args) -> int:
         sections.append((name, status, files))
         return result
 
-    run("pooled_stats", "", _pooled_stats, out, dataset.values)
+    run("pooled_stats", "", _pooled_stats, out, dataset.values, fmt)
 
     try:
         groups = moments.group_sk_points(dataset, min_n=min_n)
@@ -344,7 +344,7 @@ def cmd_pipeline(args) -> int:
         run(f"beta_moments_{t}", no_points, _beta_moments, out, vals, f"beta_moments_{t}", fmt)
     for t, _ in series:
         unmet = no_points or ("" if rank_fits[t] else "lav4 fit unavailable")
-        run(f"beta_rank_{t}", unmet, _beta_rank, out, rank_fits[t], f"beta_rank_{t}")
+        run(f"beta_rank_{t}", unmet, _beta_rank, out, rank_fits[t], f"beta_rank_{t}", fmt)
 
     run("simulate", "" if do_sim else "not requested", _simulate, out, sim_cfg, None, fmt)
 

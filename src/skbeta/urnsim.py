@@ -74,9 +74,9 @@ class UrnConfig:
         k0 = operator.index(self.k0)
         if k0 < 1:
             raise ValueError(f"k0 must be a positive integer, got {self.k0}")
-        if self.a_shift < -k0 or not k0 + self.a_shift > 0.0:
+        if not math.isfinite(self.a_shift) or self.a_shift < -k0 or not k0 + self.a_shift > 0.0:
             raise ValueError(
-                f"a_shift must satisfy a_shift >= -k0 and k0 + a_shift > 0, "
+                f"a_shift must be finite with a_shift >= -k0 and k0 + a_shift > 0, "
                 f"got k0={k0}, a_shift={self.a_shift}"
             )
         if not 0.0 <= self.alpha <= 1.0:
@@ -87,28 +87,45 @@ class UrnConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
-    urn_sizes: tuple[int, ...]
+    """An urn run's outcome.  ``sizes`` is a read-only int64 array with one
+    size per urn, in order of creation; ``urn_sizes`` is the same as a tuple."""
+
+    sizes: np.ndarray
     n_urns: int
     total_balls: int
     empirical_pmf: dict[int, float]
 
     @classmethod
     def from_sizes(cls, sizes) -> "SimResult":
-        sizes = np.asarray(sizes, dtype=np.int64)
+        """The result of any int sequence of sizes; a read-only int64 array
+        is kept as it is, anything else is copied into one."""
+        frozen = isinstance(sizes, np.ndarray) and sizes.dtype == np.int64 and not sizes.flags.writeable
+        if not frozen:
+            sizes = np.array(sizes, dtype=np.int64)
+            sizes.flags.writeable = False
         n = sizes.size
         if n == 0:
             raise ValueError("SimResult needs at least one urn")
-        counts = np.bincount(sizes)
+        lo = int(sizes.min())
+        counts = np.bincount(sizes - lo)  # bounded by the spread, not the largest size
         ks = counts.nonzero()[0]
-        urn_sizes = tuple(sizes.tolist())
         return cls(
-            urn_sizes=urn_sizes,
+            sizes=sizes,
             n_urns=n,
-            total_balls=sum(urn_sizes),
-            empirical_pmf=dict(zip(ks.tolist(), (counts[ks] / n).tolist())),
+            total_balls=int(sizes.sum()),
+            empirical_pmf=dict(zip((ks + lo).tolist(), (counts[ks] / n).tolist())),
         )
+
+    @property
+    def urn_sizes(self) -> tuple[int, ...]:
+        return tuple(self.sizes.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, SimResult):
+            return NotImplemented
+        return np.array_equal(self.sizes, other.sizes) and self.empirical_pmf == other.empirical_pmf
 
 
 # Uniforms drawn at a time.  No step takes more than two, so a chunk of
@@ -121,17 +138,18 @@ def _draw_steps(rng, alpha: float, left: int):
     ``left``) and, for each attach step among them, its step number within
     the chunk and its pick uniform."""
     x = rng.random(min(_CHUNK, 2 * left))
-    idx = np.arange(x.size)
-    # 1 at an attach decision: an even distance into a run of values >= alpha
-    attach = (idx - np.maximum.accumulate(np.where(x < alpha, idx, -1))) & 1
-    decision = np.ones(x.size, bool)
-    decision[1:] = attach[:-1] == 0
-    d = decision.nonzero()[0][:left]
-    q = attach[d].nonzero()[0]
-    pick = d[q] + 1
-    if q.size and pick[-1] == x.size:
+    idx = np.arange(1, x.size + 1, dtype=np.int32)
+    # 1 + the index of the last value below alpha at or before each value
+    last = np.maximum.accumulate((x < alpha) * idx)
+    # attach decisions lie an odd distance into a run of values >= alpha
+    pos = ((idx - last) & 1).astype(bool).nonzero()[0]
+    if pos.size and pos[-1] == x.size - 1:  # the chunk ends on an attach decision
         x = np.append(x, rng.random())
-    return d.size, q, x[pick]
+    # every attach decision before pos[i] took a pick: the rest were steps
+    q = pos - np.arange(pos.size)
+    steps = min(left, x.size - pos.size)
+    n = q.searchsorted(steps)  # only the last chunk has attach steps past ``left``
+    return steps, q[:n], x[pos[:n] + 1]
 
 
 def _resolve_picks(owners, n_urns: int, n_balls: int, base: float, q, u) -> None:
@@ -146,17 +164,16 @@ def _resolve_picks(owners, n_urns: int, n_balls: int, base: float, q, u) -> None
     balls = n_balls + k
     urn_mass = urns * base
     v = u * (urn_mass + balls)
-    # the min() clamps guard the rounding corners where v lands on a range end
+    # an urn by base weight, unless v lands among the added balls; the min()
+    # clamps guard the rounding corners where v lands on a range end
     seg = owners[n_balls : n_balls + q.size]
-    seg[:] = np.where(
-        v < urn_mass,
-        np.minimum(v / base, urns - 1).astype(np.int64),
-        ~np.minimum(v - urn_mass, balls - 1).astype(np.int64),
-    )
-    todo = (seg < 0).nonzero()[0]
+    np.copyto(seg, np.minimum(v / base, urns - 1), casting="unsafe")
+    todo = (v >= urn_mass).nonzero()[0]
+    seg[todo] = ~np.minimum(v[todo] - urn_mass[todo], balls[todo] - 1).astype(np.int32)
     while todo.size:  # pointer jumping: each pass halves every chain
-        seg[todo] = owners[~seg[todo]]
-        todo = todo[seg[todo] < 0]
+        nxt = owners[~seg[todo]]
+        seg[todo] = nxt
+        todo = todo[nxt < 0]
 
 
 def run(config: UrnConfig) -> SimResult:
@@ -172,8 +189,9 @@ def run(config: UrnConfig) -> SimResult:
         n_balls += q.size
         left -= steps
     sizes = np.bincount(owners[:n_balls], minlength=n_urns)
-    del owners  # not held while the tuple of sizes is built
+    del owners  # not held while the result is built
     sizes += config.k0
+    sizes.flags.writeable = False
     return SimResult.from_sizes(sizes)
 
 
@@ -215,8 +233,7 @@ def empirical_tail_slope(result: SimResult, k_min: int) -> float:
     roughly 1/count, and unweighted sparse tail bins bias the slope
     shallow.  Requires at least 10 distinct sizes above the threshold.
     """
-    sizes = np.asarray(result.urn_sizes)
-    tail = sizes[sizes >= k_min]
+    tail = result.sizes[result.sizes >= k_min]
     distinct = np.unique(tail)
     if distinct.size < 10:
         raise InsufficientDataError(
@@ -259,11 +276,10 @@ def tv_distance_to_limit(result: SimResult, config: UrnConfig, b: float | None =
     """
     if b is None:
         b = predicted_b(config)
-    kmax = max(result.empirical_pmf)
+    ks = range(config.k0, max(result.empirical_pmf) + 1)
     acc = []
     limit_mass = 0.0
-    for k in range(config.k0, kmax + 1):
-        pk = betadist.urn_limit_pmf(k, config.k0, config.a_shift, b)
+    for k, pk in zip(ks, betadist.urn_limit_pmfs(ks, config.k0, config.a_shift, b)):
         limit_mass += pk
         acc.append(abs(result.empirical_pmf.get(k, 0.0) - pk))
     return 0.5 * (math.fsum(acc) + max(1.0 - limit_mass, 0.0))
@@ -271,13 +287,14 @@ def tv_distance_to_limit(result: SimResult, config: UrnConfig, b: float | None =
 
 def sim_csv(result: SimResult, config: UrnConfig, b: float | None = None) -> str:
     """k,count,frequency,limit_pmf rows over the observed support."""
+    pmf = result.empirical_pmf
+    if b is None:
+        limits = [""] * len(pmf)
+    else:
+        limits = map(repr, betadist.urn_limit_pmfs(pmf, config.k0, config.a_shift, b))
     lines = ["k,count,frequency,limit_pmf"]
-    for k, freq in result.empirical_pmf.items():
+    for (k, freq), limit in zip(pmf.items(), limits):
         count = round(freq * result.n_urns)  # exact: freq is count / n_urns rounded once
-        if b is None:
-            limit = ""
-        else:
-            limit = repr(betadist.urn_limit_pmf(k, config.k0, config.a_shift, b))
         lines.append(f"{k},{count},{freq!r},{limit}")
     return "\n".join(lines) + "\n"
 

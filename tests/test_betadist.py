@@ -22,7 +22,9 @@ from skbeta.betadist import (
     help_variable,
     ln_gamma,
     urn_limit_pmf,
+    urn_limit_pmfs,
     yule_simon_pmf,
+    _ln_beta,
 )
 from skbeta.errors import (
     InfeasibleMomentPairError,
@@ -65,6 +67,59 @@ def limit_pmf_tail_mass(n: int, k0: int, a: float, b: float) -> float:
         (math.lgamma(n + 1 + a) + math.lgamma(b - 1) - math.lgamma(n + a + b))
         - (math.lgamma(k0 + a) + math.lgamma(b - 1) - math.lgamma(k0 + a + b - 1))
     )
+
+
+def reference_contfrac(a: float, b: float, x: float) -> float:
+    """The incomplete-Beta continued fraction at one point: the modified
+    Lentz loop that ``betadist._beta_contfrac`` runs on arrays of points."""
+    max_iter = 300
+    eps = 1e-16
+    fpmin = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            return h
+    raise AssertionError(f"no convergence for a={a}, b={b}, x={x}")
+
+
+def reference_cdf(x: float, a: float, b: float) -> float:
+    """I_x(a, b) one point at a time, on the branch ``beta_cdf`` takes."""
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * reference_contfrac(a, b, x) / a
+    return 1.0 - front * reference_contfrac(b, a, 1.0 - x) / b
 
 
 class TestLnGamma:
@@ -390,6 +445,23 @@ class TestUrnLimitPmf:
         with pytest.raises(ValueError):
             urn_limit_pmf(5, 1, -1.0, 2.0)
 
+    @pytest.mark.parametrize("b", [1.5, 2.0, 3.7])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("k0", [1, 2, 3])
+    def test_many_k_form_is_bit_equal(self, k0, sign, b):
+        a = sign * 0.75 * k0
+        ks = range(10_001)  # zero below k0
+        assert urn_limit_pmfs(ks, k0, a, b) == [urn_limit_pmf(k, k0, a, b) for k in ks]
+
+    def test_many_k_form_checks_arguments(self):
+        with pytest.raises(NonNormalizableError):
+            urn_limit_pmfs([5], 1, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            urn_limit_pmfs([5], 1, -1.0, 2.0)
+        with pytest.raises(TypeError):
+            urn_limit_pmfs([5.0], 1, 0.0, 2.0)
+        assert urn_limit_pmfs([], 1, 0.0, 2.0) == []
+
     @pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
     def test_tail_slope_is_minus_b(self, b):
         # log P(k) vs log k over k in [1e3, 1e4]: the limit law decays as
@@ -434,6 +506,19 @@ def test_cdf_curve_is_beta_cdf(a, b):
     params = BetaParams(a, b)
     curve = cdf_curve(params, 128)
     assert curve == [(x, beta_cdf(x, params)) for x, _ in curve]
+
+
+CDF_SHAPES = (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3, 1e4)
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 17, 512])
+def test_cdf_curve_replays_reference(n_points):
+    # the array continued fraction gives the one-point loop's bits at every
+    # point; n_points = 2 has no interior point to run it on
+    for a in CDF_SHAPES:
+        for b in CDF_SHAPES:
+            curve = cdf_curve(BetaParams(a, b), n_points)
+            assert curve == [(x, reference_cdf(x, a, b)) for x, _ in curve], (a, b)
 
 
 def test_lgamma_only_in_log_gamma_helpers():

@@ -351,8 +351,9 @@ class TestPipeline:
         csv_files = {p.name for p in csv_out.iterdir()}
         json_files = {p.name for p in json_out.iterdir()}
         sections = [
-            "sk_points", "fit_quadratic", "fit_power", "rank_s", "rank_k",
-            "beta_moments_s", "beta_moments_k", "sim_result", "manifest",
+            "pooled_stats", "sk_points", "fit_quadratic", "fit_power", "rank_s", "rank_k",
+            "beta_moments_s", "beta_moments_k", "beta_rank_s", "beta_rank_k", "sim_result",
+            "manifest",
         ]
         assert json_files - csv_files == {f"{name}.json" for name in sections}
         for name in csv_files:
@@ -370,6 +371,12 @@ class TestPipeline:
         assert [r["name"] for r in manifest["sections"]][-1] == "simulate"
         fit = json.loads((json_out / "fit_power.json").read_text())
         assert f"p: {fit['p']!r}\n" in (json_out / "fit_power.txt").read_text()
+        pooled = json.loads((json_out / "pooled_stats.json").read_text())
+        assert f"\nN_p{pooled['n']:>27d}\n" in (json_out / "pooled_summary.txt").read_text()
+        for t in "sk":
+            beta = json.loads((json_out / f"beta_rank_{t}.json").read_text())
+            text = f"a: {beta['a']!r}\nb: {beta['b']!r}\nsource: {beta['source']}\n"
+            assert (json_out / f"beta_rank_{t}.txt").read_text() == text
 
     def test_neither_input_nor_synthetic_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -476,13 +483,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [("--steps", "-1"), ("--alpha", "1.5"), ("--k0", "0"), ("--a-shift", "-1"), ("--seed", "-1")],
+        [
+            ("--steps", "-1"), ("--alpha", "1.5"), ("--k0", "0"), ("--a-shift", "-1"), ("--seed", "-1"),
+            ("--a-shift", "inf"),
+        ],
     )
     def test_bad_urn_flag_exits_2_before_output(self, tmp_path, capsys, flags):
         out = tmp_path / "o"
         assert run_cli("simulate", *flags, "--out-dir", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_huge_k0_runs(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--k0", "3000000000", "--steps", "10", "--out-dir", str(out)) == 0
+        assert "k0: 3000000000\n" in (out / "sim_summary.txt").read_text()
 
     @pytest.mark.parametrize("line", ["sim_alpha = 1.5", "sim_steps = -1", "sim_k0 = 0"])
     def test_pipeline_bad_urn_config_exits_2_before_output(self, tmp_path, line):

@@ -26,6 +26,8 @@ class TestConfig:
             UrnConfig(k0=0)
         with pytest.raises(ValueError):
             UrnConfig(k0=1, a_shift=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            UrnConfig(k0=1, a_shift=math.inf)  # every pick would be inf - inf
         with pytest.raises(ValueError):
             UrnConfig(alpha=1.5)
         with pytest.raises(ValueError):
@@ -76,6 +78,29 @@ class TestRun:
         res = run(UrnConfig(k0=4, alpha=0.5, steps=3000, seed=3))
         assert min(res.urn_sizes) == 4
 
+    def test_sizes_are_one_read_only_int64_array(self):
+        res = run(UrnConfig(k0=2, alpha=0.4, steps=500, seed=8))
+        assert res.sizes.dtype == np.int64 and not res.sizes.flags.writeable
+        assert res.urn_sizes == tuple(res.sizes.tolist())
+        assert res.total_balls == sum(res.urn_sizes) and type(res.total_balls) is int
+        with pytest.raises(ValueError):
+            res.sizes[0] = 0
+
+    def test_from_sizes_copies_a_writable_array(self):
+        sizes = np.array([1, 2, 2])
+        res = SimResult.from_sizes(sizes)
+        sizes[0] = 5
+        assert res.urn_sizes == (1, 2, 2)
+        assert res.empirical_pmf == {1: 1 / 3, 2: 2 / 3}
+
+    def test_counts_start_at_the_smallest_size(self):
+        # counting from 0 would ask for ~24 GB here
+        res = SimResult.from_sizes([3_000_000_004, 3_000_000_001, 3_000_000_004])
+        assert res.empirical_pmf == {3_000_000_001: 1 / 3, 3_000_000_004: 2 / 3}
+        res = run(UrnConfig(k0=3_000_000_000, steps=10, seed=0))
+        assert min(res.empirical_pmf) >= 3_000_000_000
+        assert res.total_balls == 3_000_000_000 * res.n_urns + 11 - res.n_urns
+
     def test_pmf_sums_to_one(self):
         res = run(UrnConfig(k0=1, alpha=0.5, steps=10_000, seed=21))
         assert math.fsum(res.empirical_pmf.values()) == pytest.approx(1.0, abs=1e-12)
@@ -116,6 +141,17 @@ class TestReplaysReference:
         monkeypatch.setattr(urnsim, "_CHUNK", 7)
         for alpha in (0.0, 0.3, 0.9, 1.0):
             for steps in (0, 1, 2, 37, 1000):
+                for seed in (0, 1, 2024):
+                    cfg = UrnConfig(k0=k0, a_shift=a_shift, alpha=alpha, steps=steps, seed=seed)
+                    assert run(cfg).urn_sizes == reference_run(cfg), cfg
+
+    @pytest.mark.parametrize("k0, a_shift", [(1, -0.75), (2, 1.0), (3, -2.75)])
+    def test_grid_chunk_64(self, monkeypatch, k0, a_shift):
+        # a 64-uniform chunk often holds more steps than the run has left, so
+        # the last chunk's steps and attach steps are cut at ``left``
+        monkeypatch.setattr(urnsim, "_CHUNK", 64)
+        for alpha in (0.0, 0.3, 0.9, 1.0):
+            for steps in (1, 2, 31, 32, 33, 37, 100, 1000):
                 for seed in (0, 1, 2024):
                     cfg = UrnConfig(k0=k0, a_shift=a_shift, alpha=alpha, steps=steps, seed=seed)
                     assert run(cfg).urn_sizes == reference_run(cfg), cfg

@@ -1,4 +1,4 @@
-"""Numerical helpers shared by the K-S and rank-size fits.
+"""Numerical helpers shared by the K-S, rank-size and urn tail-slope fits.
 
 The only module that calls ``np.linalg``: every least-squares solve and
 standard error of the fits goes through ``lstsq`` and ``std_errors``.

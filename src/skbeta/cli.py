@@ -79,6 +79,8 @@ def _check_counts(min_n: int, bins: int) -> None:
     for name, value in (("min_n", min_n), ("bins", bins)):
         if value < 1:
             raise ParseError(f"{name} must be >= 1, got {value}")
+    if bins > 2**20:  # each bin is a row of the histogram files
+        raise ParseError(f"bins must be <= 2**20, got {bins}")
 
 
 def _urn_config(**fields) -> urnsim.UrnConfig:

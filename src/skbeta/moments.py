@@ -403,16 +403,15 @@ def histogram(
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    xs = _as_array(values).tolist()
+    x = _as_array(values)
+    xs = x.tolist()
     lo, hi = min(xs), max(xs)
     if lo == hi:
         return [(lo, hi, len(xs))]
     span = hi - lo
     edges = [lo + i * span / n_bins for i in range(n_bins)] + [hi]
-    counts = [0] * n_bins
-    for x in xs:
-        idx = min(int((x - lo) / span * n_bins), n_bins - 1)
-        counts[idx] += 1
+    idx = np.minimum(((x - lo) / span * n_bins).astype(np.int64), n_bins - 1)
+    counts = np.bincount(idx, minlength=n_bins).tolist()
     return [(edges[i], edges[i + 1], counts[i]) for i in range(n_bins)]
 
 

@@ -34,6 +34,7 @@ stream with array operations, chunk by chunk:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import betadist
+from ._numeric import lstsq
 from .errors import InsufficientDataError
 
 __all__ = [
@@ -81,8 +83,8 @@ class UrnConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if operator.index(self.steps) < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not 0 <= operator.index(self.steps) < 2**31:  # ball indices are int32
+            raise ValueError(f"steps must lie in [0, 2**31), got {self.steps}")
         if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -90,12 +92,13 @@ class UrnConfig:
 @dataclass(frozen=True, eq=False)
 class SimResult:
     """An urn run's outcome.  ``sizes`` is a read-only int64 array with one
-    size per urn, in order of creation; ``urn_sizes`` is the same as a tuple."""
+    size per urn, in order of creation; ``ks`` holds the distinct sizes in
+    ascending order and ``counts`` the number of urns of each size.  Every
+    other view of the run is derived from that table."""
 
     sizes: np.ndarray
-    n_urns: int
-    total_balls: int
-    empirical_pmf: dict[int, float]
+    ks: np.ndarray
+    counts: np.ndarray
 
     @classmethod
     def from_sizes(cls, sizes) -> "SimResult":
@@ -105,18 +108,24 @@ class SimResult:
         if not frozen:
             sizes = np.array(sizes, dtype=np.int64)
             sizes.flags.writeable = False
-        n = sizes.size
-        if n == 0:
+        if sizes.size == 0:
             raise ValueError("SimResult needs at least one urn")
         lo = int(sizes.min())
         counts = np.bincount(sizes - lo)  # bounded by the spread, not the largest size
         ks = counts.nonzero()[0]
-        return cls(
-            sizes=sizes,
-            n_urns=n,
-            total_balls=int(sizes.sum()),
-            empirical_pmf=dict(zip((ks + lo).tolist(), (counts[ks] / n).tolist())),
-        )
+        return cls(sizes, ks + lo, counts[ks])
+
+    @property
+    def n_urns(self) -> int:
+        return self.sizes.size
+
+    @property
+    def total_balls(self) -> int:
+        return sum(map(operator.mul, self.ks.tolist(), self.counts.tolist()))  # exact past 2**63
+
+    @property
+    def empirical_pmf(self) -> dict[int, float]:
+        return dict(zip(self.ks.tolist(), (self.counts / self.n_urns).tolist()))
 
     @property
     def urn_sizes(self) -> tuple[int, ...]:
@@ -125,7 +134,7 @@ class SimResult:
     def __eq__(self, other):
         if not isinstance(other, SimResult):
             return NotImplemented
-        return np.array_equal(self.sizes, other.sizes) and self.empirical_pmf == other.empirical_pmf
+        return np.array_equal(self.sizes, other.sizes)
 
 
 # Uniforms drawn at a time.  No step takes more than two, so a chunk of
@@ -213,15 +222,18 @@ def predicted_b(config: UrnConfig) -> float:
     return 1.0 + (1.0 + (config.k0 - 1 + config.a_shift) * config.alpha) / (1.0 - config.alpha)
 
 
-def _log_bin_edges(lo: int, hi: int, per_decade: int = 6) -> list[int]:
-    g = 10.0 ** (1.0 / per_decade)
+_PER_DECADE = 6  # log bins per decade of size in ``empirical_tail_slope``
+
+
+def _log_bin_edges(lo: int, hi: int) -> np.ndarray:
+    g = 10.0 ** (1.0 / _PER_DECADE)
     edges = [lo]
     t = float(lo)
     while edges[-1] <= hi:
         t *= g
         edges.append(max(edges[-1] + 1, math.ceil(t)))
     edges[-1] = hi + 1  # clamp to the data; the loop left edges[-2] <= hi
-    return edges
+    return np.array(edges, dtype=float)
 
 
 def empirical_tail_slope(result: SimResult, k_min: int) -> float:
@@ -233,39 +245,24 @@ def empirical_tail_slope(result: SimResult, k_min: int) -> float:
     roughly 1/count, and unweighted sparse tail bins bias the slope
     shallow.  Requires at least 10 distinct sizes above the threshold.
     """
-    tail = result.sizes[result.sizes >= k_min]
-    distinct = np.unique(tail)
-    if distinct.size < 10:
-        raise InsufficientDataError(
-            f"need >= 10 distinct sizes >= {k_min}, got {distinct.size}"
-        )
-    edges = _log_bin_edges(k_min, int(distinct[-1]))
-    # bins are [edges[j], edges[j+1]); edges are strictly increasing ints
-    bins = np.searchsorted(edges, tail, side="right") - 1
-    counts = np.bincount(bins, minlength=len(edges) - 1).tolist()
-    xs = []
-    ys = []
-    ws = []
-    for j, c in enumerate(counts):
-        if c == 0:
-            continue
-        lo, hi = edges[j], edges[j + 1]
-        center = math.sqrt(lo * (hi - 1)) if hi - 1 > lo else float(lo)
-        density = c / (result.n_urns * (hi - lo))
-        xs.append(math.log(center))
-        ys.append(math.log(density))
-        ws.append(float(c))
-    if len(xs) < 3:
-        raise InsufficientDataError(
-            f"only {len(xs)} nonempty log bins above k_min={k_min}"
-        )
-    x = np.array(xs)
-    y = np.array(ys)
-    w = np.array(ws)
-    total = w.sum()
-    xc = x - (w @ x) / total
-    yc = y - (w @ y) / total
-    return float((w * xc) @ yc / ((w * xc) @ xc))
+    tail = result.ks >= k_min
+    ks = result.ks[tail]
+    if ks.size < 10:
+        raise InsufficientDataError(f"need >= 10 distinct sizes >= {k_min}, got {ks.size}")
+    edges = _log_bin_edges(k_min, int(ks[-1]))
+    # bins are [edges[j], edges[j+1]); edges are strictly increasing integers
+    bin_of_k = np.searchsorted(edges, ks, side="right") - 1
+    c = np.bincount(bin_of_k, weights=result.counts[tail])
+    full = c.nonzero()[0]
+    if full.size < 3:
+        raise InsufficientDataError(f"only {full.size} nonempty log bins above k_min={k_min}")
+    lo, hi = edges[full], edges[full + 1]
+    center = np.where(hi - 1.0 > lo, np.sqrt(lo * (hi - 1.0)), lo)
+    density = c[full] / (result.n_urns * (hi - lo))
+    # weighted least squares: each row of the line y = p + s x scaled by sqrt(count)
+    w = np.sqrt(c[full])
+    coef = lstsq(np.column_stack([w, w * np.log(center)]), w * np.log(density))[0]
+    return float(coef[1])
 
 
 def tv_distance_to_limit(result: SimResult, config: UrnConfig, b: float | None = None) -> float:
@@ -276,25 +273,25 @@ def tv_distance_to_limit(result: SimResult, config: UrnConfig, b: float | None =
     """
     if b is None:
         b = predicted_b(config)
-    ks = range(config.k0, max(result.empirical_pmf) + 1)
-    acc = []
-    limit_mass = 0.0
-    for k, pk in zip(ks, betadist.urn_limit_pmfs(ks, config.k0, config.a_shift, b)):
-        limit_mass += pk
-        acc.append(abs(result.empirical_pmf.get(k, 0.0) - pk))
-    return 0.5 * (math.fsum(acc) + max(1.0 - limit_mass, 0.0))
+    ks = range(config.k0, int(result.ks[-1]) + 1)
+    limit = betadist.urn_limit_pmfs(ks, config.k0, config.a_shift, b)
+    limit_mass = functools.reduce(operator.add, limit, 0.0)  # in order: sum() is not, from 3.12
+    freq = np.zeros(len(ks))
+    seen = result.ks >= config.k0
+    freq[result.ks[seen] - config.k0] = result.counts[seen] / result.n_urns
+    return 0.5 * (math.fsum(np.abs(freq - limit).tolist()) + max(1.0 - limit_mass, 0.0))
 
 
 def sim_csv(result: SimResult, config: UrnConfig, b: float | None = None) -> str:
     """k,count,frequency,limit_pmf rows over the observed support."""
-    pmf = result.empirical_pmf
+    ks = result.ks.tolist()
     if b is None:
-        limits = [""] * len(pmf)
+        limits = [""] * len(ks)
     else:
-        limits = map(repr, betadist.urn_limit_pmfs(pmf, config.k0, config.a_shift, b))
+        limits = map(repr, betadist.urn_limit_pmfs(ks, config.k0, config.a_shift, b))
+    freqs = (result.counts / result.n_urns).tolist()
     lines = ["k,count,frequency,limit_pmf"]
-    for (k, freq), limit in zip(pmf.items(), limits):
-        count = round(freq * result.n_urns)  # exact: freq is count / n_urns rounded once
+    for k, count, freq, limit in zip(ks, result.counts.tolist(), freqs, limits):
         lines.append(f"{k},{count},{freq!r},{limit}")
     return "\n".join(lines) + "\n"
 
@@ -308,7 +305,7 @@ def sim_block(result: SimResult, config: UrnConfig) -> str:
         f"seed: {config.seed}",
         f"n_urns: {result.n_urns}",
         f"total_balls: {result.total_balls}",
-        f"max_size: {max(result.empirical_pmf)}",
+        f"max_size: {result.ks[-1]}",
     ]
     try:
         b = predicted_b(config)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from skbeta import betadist, ksfit, ranksize
+from skbeta import betadist, ksfit, moments, ranksize, urnsim
 from skbeta.cli import main
 from skbeta.errors import InternalCheckError, SkbetaError
 from skbeta.ingest import GroupedDataset, bundled_fixture_path, write_grouped_csv
@@ -492,6 +492,38 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run_cli("simulate", *flags, "--out-dir", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_steps_past_int32_exit_2_before_output(self, tmp_path, monkeypatch, capsys):
+        # a run would ask for ~12 GB here: validation must stop it first
+        def no_run(cfg):
+            raise AssertionError("the urn ran")
+
+        monkeypatch.setattr(urnsim, "run", no_run)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--steps", "3000000000", "--alpha", "1", "--out-dir", str(out)) == 2
+        assert "steps must lie in [0, 2**31)" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("simulate = 1\nsim_steps = 3000000000\n")
+        assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 2
+        assert not out.exists()
+
+    def test_bins_past_2_20_exit_2_before_output(self, tmp_path, monkeypatch, capsys):
+        # ~1e9 bins would build rows for every bin: validation must stop it first
+        def no_histogram(values, n_bins):
+            raise AssertionError("the histogram was built")
+
+        monkeypatch.setattr(moments, "histogram", no_histogram)
+        src = tmp_path / "m.csv"
+        src.write_text(MICRO)
+        out = tmp_path / "o"
+        assert run_cli("stats", "--input", str(src), "--bins", "1000000000", "--out-dir", str(out)) == 2
+        assert "bins must be <= 2**20" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("bins = 1000000000\n")
+        assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 2
         assert not out.exists()
 
     def test_huge_k0_runs(self, tmp_path):

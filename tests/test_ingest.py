@@ -477,7 +477,7 @@ class TestPinnedBytes:
                 "0.5",
                 {
                     "sim_hist.csv": "585a6d00dda4a4689cf5b024d07e165bff04673b7475ec0d0ecbd8238321075c",
-                    "sim_summary.txt": "56a84beebc06efc14c1e598c64796a876d0214ccdddc2cf40c5f82716275ca8d",
+                    "sim_summary.txt": "50be628af7c01dccfbd63fac22bfd25f47b05ef80774bb91ffd4a6d2149d32aa",
                     "sim_result.json": "9d717462b3deaf6c75f68b12b7f64af7935d90e99885c4de95a371c506dfe44b",
                 },
             ),
@@ -486,7 +486,7 @@ class TestPinnedBytes:
                 "0.3",
                 {
                     "sim_hist.csv": "e1bdbd0e7d89ad9f1305f165a52ec29bf32c9d52c7fa4da889099c434850e218",
-                    "sim_summary.txt": "71315b59393c5942a71da9ddf40b40c7aafcd01b14dbce21ea2f6a805ac697cc",
+                    "sim_summary.txt": "c47bd93dc87528c49e4a692538c6bc84c80235f9660eb1243cef0198a42b89da",
                     "sim_result.json": "13fd8242fc4a79b61c49e9cb231c3c2356fa2a2dcfa52ed312d6f8096176a1a5",
                 },
             ),

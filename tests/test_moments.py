@@ -268,6 +268,19 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([1, 2], 0)
 
+    @given(samples, st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_value_loop(self, xs, bins):
+        # the bin of each value by the same float operations, one value at a time
+        lo, hi = min(xs), max(xs)
+        assume(lo != hi)
+        counts = [0] * bins
+        for x in xs:
+            counts[min(int((x - lo) / (hi - lo) * bins), bins - 1)] += 1
+        out = histogram(xs, bins)
+        assert [c for _, _, c in out] == counts
+        assert all(type(c) is int for _, _, c in out)
+
 
 def test_sk_points_csv_roundtrip_shape():
     res = group_sk_points({"a": [1, 2, 3, 9]}, min_n=4)

@@ -40,6 +40,13 @@ class TestConfig:
         UrnConfig(alpha=1.0)
         UrnConfig(steps=0)
 
+    def test_steps_bounded_by_int32_ball_indices(self):
+        # only the configs are built: neither is run
+        UrnConfig(steps=2**31 - 1)
+        for steps in (2**31, 3_000_000_000):
+            with pytest.raises(ValueError, match="steps"):
+                UrnConfig(alpha=1.0, steps=steps)
+
 
 class TestRun:
     def test_zero_steps(self):
@@ -276,6 +283,104 @@ class TestLimitAgreement:
         cfg = UrnConfig(k0=1, a_shift=-0.5, alpha=0.5, steps=100_000, seed=7)
         assert predicted_b(cfg) == 2.5
         assert tv_distance_to_limit(run(cfg), cfg) < 0.02
+
+
+def reference_tv(result: SimResult, config: UrnConfig, b: float) -> float:
+    """The TV distance one k at a time, with the pmf from a ``Counter`` of
+    the sizes: ``tv_distance_to_limit`` must equal it to the bit."""
+    n = len(result.urn_sizes)
+    pmf = {k: c / n for k, c in Counter(result.urn_sizes).items()}
+    ks = range(config.k0, max(pmf) + 1)
+    acc = []
+    limit_mass = 0.0
+    for k, pk in zip(ks, betadist.urn_limit_pmfs(ks, config.k0, config.a_shift, b)):
+        limit_mass += pk
+        acc.append(abs(pmf.get(k, 0.0) - pk))
+    return 0.5 * (math.fsum(acc) + max(1.0 - limit_mass, 0.0))
+
+
+def reference_tail_slope(result: SimResult, k_min: int) -> float:
+    """The tail slope binned from every urn, with the count-weighted line
+    fitted by the centred normal equations."""
+    sizes = np.array(result.urn_sizes)
+    tail = sizes[sizes >= k_min]
+    edges = [int(e) for e in urnsim._log_bin_edges(k_min, int(tail.max()))]
+    counts = np.bincount(np.searchsorted(edges, tail, side="right") - 1).tolist()
+    xs, ys, ws = [], [], []
+    for j, c in enumerate(counts):
+        if c:
+            lo, hi = edges[j], edges[j + 1]
+            xs.append(math.log(math.sqrt(lo * (hi - 1)) if hi - 1 > lo else float(lo)))
+            ys.append(math.log(c / (sizes.size * (hi - lo))))
+            ws.append(float(c))
+    x, y, w = np.array(xs), np.array(ys), np.array(ws)
+    xc = x - (w @ x) / w.sum()
+    yc = y - (w @ y) / w.sum()
+    return float((w * xc) @ yc / ((w * xc) @ xc))
+
+
+class TestReferences:
+    """The table-based TV distance and tail slope against per-k and per-urn references."""
+
+    @pytest.mark.parametrize("k0", [1, 2, 3])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("steps", [20_000, 200_000])
+    def test_seeded_runs(self, k0, sign, steps):
+        cfg = UrnConfig(k0=k0, a_shift=sign * 0.5 * k0, alpha=0.4, steps=steps, seed=steps + k0)
+        res = run(cfg)
+        b = predicted_b(cfg)
+        for other in (b, b + 0.25):
+            assert tv_distance_to_limit(res, cfg, other) == reference_tv(res, cfg, other)
+        for k_min in (3, 10):
+            ref = reference_tail_slope(res, k_min)
+            assert empirical_tail_slope(res, k_min) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_sizes_below_k0_are_left_out_of_the_tv(self):
+        res = SimResult.from_sizes([1, 2, 2, 3, 5, 5, 9])
+        cfg = UrnConfig(k0=2, alpha=0.5)
+        assert tv_distance_to_limit(res, cfg, 3.0) == reference_tv(res, cfg, 3.0)
+
+
+def counter_truth(sizes) -> tuple[int, int, dict[int, float]]:
+    """``n_urns``, ``total_balls`` and the pmf of a size list, by ``Counter``."""
+    counter = Counter(sizes)
+    n = len(sizes)
+    return n, sum(sizes), {k: counter[k] / n for k in sorted(counter)}
+
+
+class TestCountTable:
+    """``ks`` and ``counts`` hold what a ``Counter`` of the sizes holds."""
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [3_000_000_004, 3_000_000_001, 3_000_000_004], [7], [2, 1, 2, 9, 1, 1], list(range(50, 0, -3)) * 4,
+            [2**62, 2**62 + 1, 2**62],  # more balls than an int64 holds
+        ],
+    )
+    def test_hand_made(self, sizes):
+        self.check(SimResult.from_sizes(sizes), sizes)
+
+    @pytest.mark.parametrize("k0, a_shift", [(1, 0.0), (2, -1.5), (3, 2.0)])
+    def test_seeded_runs(self, k0, a_shift):
+        res = run(UrnConfig(k0=k0, a_shift=a_shift, alpha=0.3, steps=30_000, seed=k0))
+        self.check(res, list(res.urn_sizes))
+
+    @staticmethod
+    def check(res: SimResult, sizes: list[int]) -> None:
+        n, total, pmf = counter_truth(sizes)
+        assert (res.n_urns, res.total_balls, res.empirical_pmf) == (n, total, pmf)
+        assert list(res.empirical_pmf) == list(pmf)  # ascending k
+        assert type(res.n_urns) is int and type(res.total_balls) is int
+        rows = [line.split(",") for line in sim_csv(res, UrnConfig()).splitlines()[1:]]
+        assert {int(k): int(c) for k, c, _, _ in rows} == Counter(sizes)
+        assert [float(f) for _, _, f, _ in rows] == list(pmf.values())
+        # alpha = 0 has no limit law, so no TV runs over the hand-made k range
+        assert f"max_size: {max(sizes)}\n" in sim_block(res, UrnConfig(alpha=0.0))
+
+    def test_equality_is_equal_sizes(self):
+        assert SimResult.from_sizes([2, 1, 2]) == SimResult.from_sizes(np.array([2, 1, 2]))
+        assert SimResult.from_sizes([2, 1, 2]) != SimResult.from_sizes([2, 2, 1])
 
 
 class TestTailSlope:

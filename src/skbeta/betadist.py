@@ -122,7 +122,9 @@ def _beta_contfrac(a: float, b: float, x: np.ndarray) -> np.ndarray:
     # J. Comput. Phys. 64:490).  Converges fast for x < (a+1)/(a+b+2).  Each
     # point stops at its own convergence and meets the float operations of a
     # loop over the points in the same order, so its value is that loop's.
-    max_iter = 300
+    # Near the mode the iterations grow about like a**(1/3): 515 at a = 1e6,
+    # 2358 at a = 1e8.  A fixed cap bounds the time a hopeless curve takes.
+    max_iter = 10_000
     eps = 1e-16
     fpmin = 1e-300
     qab = a + b
@@ -169,7 +171,10 @@ def beta_cdf(x: float, params: BetaParams) -> float:
     """Regularized incomplete Beta I_x(a, b) via continued fraction.
 
     Uses the symmetry I_x(a, b) = 1 - I_(1-x)(b, a) to stay on the
-    fast-converging branch; absolute error below 1e-10 on [0, 1].
+    fast-converging branch.  The absolute error against
+    ``scipy.special.betainc`` grows with the shapes: it measured 1.8e-12 on
+    512-point curves with a, b from 1e-3 to 3e3, and 1.35e-10, 7.5e-10 and
+    3.8e-7 at a = 1e5, 1e6 and 1e9 (b = 256a/255).
     """
     if x < 0.0 or x > 1.0:
         raise ValueError(f"beta_cdf requires x in [0, 1], got {x}")

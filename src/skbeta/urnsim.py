@@ -85,6 +85,8 @@ class UrnConfig:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0 <= operator.index(self.steps) < 2**31:  # ball indices are int32
             raise ValueError(f"steps must lie in [0, 2**31), got {self.steps}")
+        if k0 + self.steps >= 2**63:  # sizes are int64 and grow by at most one a step
+            raise ValueError(f"k0 + steps must be < 2**63, got k0={k0}, steps={self.steps}")
         if not 0 <= operator.index(self.seed) < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -243,8 +245,11 @@ def empirical_tail_slope(result: SimResult, k_min: int) -> float:
     (per-size density), so a pmf proportional to k**-g regresses to slope
     -g.  The regression is count-weighted: the variance of a log count is
     roughly 1/count, and unweighted sparse tail bins bias the slope
-    shallow.  Requires at least 10 distinct sizes above the threshold.
+    shallow.  Requires ``k_min >= 1`` and at least 10 distinct sizes above
+    the threshold.
     """
+    if k_min < 1:
+        raise ValueError(f"k_min must be >= 1, got {k_min}")
     tail = result.ks >= k_min
     ks = result.ks[tail]
     if ks.size < 10:

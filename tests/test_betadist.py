@@ -72,7 +72,7 @@ def limit_pmf_tail_mass(n: int, k0: int, a: float, b: float) -> float:
 def reference_contfrac(a: float, b: float, x: float) -> float:
     """The incomplete-Beta continued fraction at one point: the modified
     Lentz loop that ``betadist._beta_contfrac`` runs on arrays of points."""
-    max_iter = 300
+    max_iter = 10_000  # the cap of betadist._beta_contfrac
     eps = 1e-16
     fpmin = 1e-300
     qab = a + b
@@ -519,6 +519,16 @@ def test_cdf_curve_replays_reference(n_points):
         for b in CDF_SHAPES:
             curve = cdf_curve(BetaParams(a, b), n_points)
             assert curve == [(x, reference_cdf(x, a, b)) for x, _ in curve], (a, b)
+
+
+@pytest.mark.parametrize("a", [1e4, 1e5, 2.55e5, 1e6])
+def test_cdf_curve_converges_at_large_shapes(a):
+    # near the mode the continued fraction needs 330 iterations at a = 2.55e5
+    # and 515 at a = 1e6
+    b = 256.0 * a / 255.0
+    curve = cdf_curve(BetaParams(a, b))
+    for x, y in curve:
+        assert y == pytest.approx(float(special.betainc(a, b, x)), rel=0.0, abs=1e-9), x
 
 
 def test_lgamma_only_in_log_gamma_helpers():

@@ -526,6 +526,30 @@ class TestExitCodes:
         assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [("--steps", "20000", "--k-min", "-5000"), ("--k-min", "0"), ("--k-min", "-1")]
+    )
+    def test_k_min_below_one_exits_2_before_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert run_cli("simulate", *flags, "--out-dir", str(out)) == 2
+        assert "k_min must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"k_min = {flags[-1]}\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out-dir", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k0", [2**63 - 3, 10**20])
+    def test_sizes_past_int64_exit_2_before_output(self, tmp_path, capsys, k0):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--k0", str(k0), "--steps", "10", "--out-dir", str(out)) == 2
+        assert "k0 + steps must be < 2**63" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"simulate = 1\nsim_k0 = {k0}\n")
+        assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 2
+        assert not out.exists()
+
     def test_huge_k0_runs(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli("simulate", "--k0", "3000000000", "--steps", "10", "--out-dir", str(out)) == 0
@@ -737,6 +761,29 @@ class TestSectionRunner:
         assert run_cli("pipeline", "--synthetic", "--seed", "0", "--out-dir", str(out)) == 5
         assert capsys.readouterr().err == "internal error: round trip did not close\n"
         assert not (out / "manifest.txt").exists()
+
+    def test_failing_subcommand_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        def fail(params, n_points=512):
+            raise InternalCheckError("no convergence")
+
+        monkeypatch.setattr(betadist, "cdf_curve_csv", fail)
+        out = tmp_path / "out"
+        rc = run_cli("beta-calibrate", "--skew", "0.5", "--kurt", "3.1", "--out-dir", str(out))
+        assert rc == 5
+        assert capsys.readouterr().err == "internal error: no convergence\n"
+        assert not (out / "calibration.txt").exists()
+
+    def test_skipped_section_writes_no_file(self, tmp_path, monkeypatch):
+        def fail(result, n_grid=200):
+            raise SkbetaError("no curve")
+
+        monkeypatch.setattr(ksfit, "curve_csv", fail)
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--synthetic", "--seed", "0", "--out-dir", str(out)) == 3
+        manifest = (out / "manifest.txt").read_text()
+        assert "  fit_quadratic: skipped: no curve\n  fit_power: skipped: no curve\n" in manifest
+        assert not list(out.glob("fit_*"))
+        assert "rank_s: ok" in manifest
 
     def test_stats_and_pipeline_write_identical_group_files(self, tmp_path):
         src = tmp_path / "m.csv"

@@ -47,6 +47,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="steps"):
                 UrnConfig(alpha=1.0, steps=steps)
 
+    def test_sizes_bounded_by_int64(self):
+        # the largest urn can hold k0 + steps balls
+        UrnConfig(k0=2**63 - 11, steps=10)
+        UrnConfig(k0=3_000_000_000, steps=10)
+        for k0, steps in ((2**63 - 10, 10), (2**63 - 3, 10), (10**20, 0)):
+            with pytest.raises(ValueError, match="k0 \\+ steps"):
+                UrnConfig(k0=k0, steps=steps)
+
 
 class TestRun:
     def test_zero_steps(self):
@@ -408,6 +416,12 @@ class TestTailSlope:
         sim = SimResult.from_sizes([1, 1, 2, 2, 3])
         with pytest.raises(InsufficientDataError):
             empirical_tail_slope(sim, 1)
+
+    @pytest.mark.parametrize("k_min", [0, -1, -5000])
+    def test_k_min_below_one(self, simon_run, k_min):
+        # log bins cannot start at or below zero
+        with pytest.raises(ValueError, match="k_min must be >= 1"):
+            empirical_tail_slope(simon_run[1], k_min)
 
 
 def test_sim_csv_and_block(simon_run):

@@ -2,6 +2,7 @@
 
 The only module that calls ``np.linalg``: every least-squares solve and
 standard error of the fits goes through ``lstsq`` and ``std_errors``.
+``unit_scale`` and ``rescale`` make the K-S and rank-size fits scale-free.
 """
 
 from __future__ import annotations
@@ -35,6 +36,20 @@ def golden_min(f, lo: float, hi: float) -> float:
             d = a + _INV_PHI * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def unit_scale(y: np.ndarray):
+    """``(y * 2^-e, e)``, e the binary exponent of the largest |y|: an exact
+    change of units that keeps squares and Jacobians in range at any scale."""
+    e = int(np.frexp(np.abs(y).max())[1])
+    return np.ldexp(y, -e), e
+
+
+def rescale(values, powers, e: int) -> list[float]:
+    """Fit results ``values * 2^(powers * e)`` in the data's units; one beyond
+    the float range reads inf or 0.0."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(values, np.multiply(powers, e)).tolist()
 
 
 def r_squared(y: np.ndarray, sse: float) -> float:

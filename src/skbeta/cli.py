@@ -29,11 +29,6 @@ from .errors import (
 from .ingest import parse_city_csv, read_sk_points, read_text, read_value_column
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="\n")
-
-
 def _jsonable(obj):
     """``json.dumps`` fallback: a dataclass as the dict of its fields, else ``str``."""
     return dataclasses.asdict(obj) if dataclasses.is_dataclass(obj) else str(obj)
@@ -52,7 +47,8 @@ def _emit(out: Path, fmt: str, section, *inputs):
         for name, obj in objects.items():
             files[name] = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
     for name, text in files.items():
-        _write(out / name, text)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
     return result, listed
 
 
@@ -139,11 +135,6 @@ def _sk_summary(s_vals, k_vals) -> str:
     return notes or moments.summary_block(summaries)
 
 
-def _skipped_csv(skipped) -> str:
-    lines = ["group,n,reason"] + [f"{g.group_key},{g.n},{g.reason}" for g in skipped]
-    return "\n".join(lines) + "\n"
-
-
 # Sections.  Each takes its inputs and returns (result, {file: text}, {JSON
 # file: object}) for ``_emit``; the pipeline manifest lists the text files.
 
@@ -154,12 +145,17 @@ def _pooled_stats(values):
     return pooled, {"pooled_summary.txt": text}, {"pooled_stats.json": pooled}
 
 
+def _skipped_groups(skipped):
+    lines = ["group,n,reason"] + [f"{g.group_key},{g.n},{g.reason}" for g in skipped]
+    return skipped, {"skipped_groups.csv": "\n".join(lines) + "\n"}, {}
+
+
 def _group_stats(groups: moments.GroupSKResult, bins: int):
     s_vals = [p.s for p in groups.points]
     k_vals = [p.k for p in groups.points]
     files = {
         "sk_points.csv": moments.sk_points_to_csv(groups.points),
-        "skipped_groups.csv": _skipped_csv(groups.skipped),
+        **_skipped_groups(groups.skipped)[1],
         "summary.txt": _sk_summary(s_vals, k_vals),
         "hist_s.csv": moments.histogram_to_csv(moments.histogram(s_vals, bins)),
         "hist_k.csv": moments.histogram_to_csv(moments.histogram(k_vals, bins)),
@@ -261,7 +257,6 @@ def _manifest(sections, source: str, seed: int, min_n: int, bins: int):
         "r2_space: raw",
         "ranking: ascending (rank 1 = smallest)",
         "nu_bracket: [{:g}, {:g}]".format(*ksfit.NU_BRACKET),
-        "psi_bracket: ({:g}, {:g}]".format(*ranksize.PSI_BRACKET),
         "",
         "sections:",
     ]
@@ -363,10 +358,13 @@ def cmd_pipeline(args) -> int:
         groups = moments.group_sk_points(dataset, min_n=min_n)
     except EmptyResultError as exc:
         groups = moments.GroupSKResult((), exc.skipped)
-        _write(out / "skipped_groups.csv", _skipped_csv(exc.skipped))
     points = groups.points
     no_points = "" if points else "insufficient group sizes"
-    run("group_stats", no_points, _group_stats, groups, bins)
+    if points:
+        run("group_stats", "", _group_stats, groups, bins)
+    else:  # the skipped-groups report is still written, and listed
+        _, files = _emit(out, args.format, _skipped_groups, groups.skipped)
+        sections.append(("group_stats", f"skipped: {no_points}", files))
     series = (("s", [p.s for p in points]), ("k", [p.k for p in points]))
 
     for model in ("quadratic", "power"):

@@ -4,7 +4,8 @@ The quadratic model fixes nu = 2; the power model profiles nu by
 golden-section search over [0.5, 4].  At its nu each calls one core that
 solves the linear (p, q) problem.  Fitting happens in raw (K, S) space (the
 additive q, which can be negative, forbids log transforms) and R^2 is
-reported in raw space as well.
+reported in raw space as well.  Both fits run on K times a power of two
+near its largest value, so they are scale-free in K.
 
 Input points are reordered internally to a canonical sort so that every
 output, residuals included, is bit-identical under input permutation.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import golden_min, lstsq, r_squared, std_errors
+from ._numeric import golden_min, lstsq, r_squared, rescale, std_errors, unit_scale
 from .errors import FitDomainError, SingularDesignError, UndefinedHelpVariableError
 from .moments import SKPoint
 
@@ -52,34 +53,36 @@ class KSFitResult:
 
 
 def _canonical(points):
-    """The points in canonical order, with their S and K arrays."""
+    """(points in canonical order, S, K * 2^-e, e), with e from ``unit_scale``."""
     pts = list(points)
     if not pts:
         raise ValueError("no points to fit")
     pts.sort(key=lambda p: (p.s, p.k, p.n, p.group_key))
-    return pts, np.array([p.s for p in pts]), np.array([p.k for p in pts])
+    y, e = unit_scale(np.array([p.k for p in pts]))
+    return pts, np.array([p.s for p in pts]), y, e
 
 
-def _fit_at(model: str, pts, s, y, nu: float, warnings=()) -> KSFitResult:
-    """K = p S^nu + q with (p, q) by least squares at a given nu; a searched
-    nu (the power model) adds its column to the standard errors' Jacobian."""
+def _fit_at(model: str, pts, s, y, e: int, nu: float, warnings=()) -> KSFitResult:
+    """K = p S^nu + q with (p, q) by least squares at a given nu, on y = K * 2^-e;
+    a searched nu (the power model) adds its column to the standard errors' Jacobian."""
     x = np.column_stack([s**nu, np.ones(len(pts))])
     coef, resid, sse = lstsq(x, y)
-    p, q = float(coef[0]), float(coef[1])
     searched = model == "power"
-    ses = std_errors(np.column_stack([x, p * x[:, 0] * np.log(s)]) if searched else x, sse)
+    ses = std_errors(np.column_stack([x, coef[0] * x[:, 0] * np.log(s)]) if searched else x, sse)
+    r2 = r_squared(y, sse)
+    p, q, se_p, se_q, sse = rescale([*coef, *ses[:2], sse], [1, 1, 1, 1, 2], e)
     return KSFitResult(
         model=model,
         p=p,
         q=q,
         nu=float(nu),
-        se_p=float(ses[0]),
-        se_q=float(ses[1]),
+        se_p=se_p,
+        se_q=se_q,
         se_nu=float(ses[2]) if searched else 0.0,
-        r_squared=r_squared(y, sse),
+        r_squared=r2,
         sse=sse,
         n_points=len(pts),
-        residuals=tuple(float(r) for r in resid),
+        residuals=tuple(rescale(resid, 1, e)),
         points=tuple(pts),
         warnings=tuple(warnings),
     )
@@ -87,13 +90,13 @@ def _fit_at(model: str, pts, s, y, nu: float, warnings=()) -> KSFitResult:
 
 def fit_quadratic(points) -> KSFitResult:
     """Ordinary least squares of K on S^2 (model K = p S^2 + q)."""
-    pts, s, y = _canonical(points)
+    pts, s, y, e = _canonical(points)
     n = len(pts)
     if n < 3:
         raise ValueError(f"quadratic fit needs at least 3 points, got {n}")
     if len(set((v * v) for v in s)) < 2:
         raise SingularDesignError("all S^2 values are equal; cannot fit p and q")
-    return _fit_at("quadratic", pts, s, y, 2.0)
+    return _fit_at("quadratic", pts, s, y, e, 2.0)
 
 
 def fit_power(points) -> KSFitResult:
@@ -102,7 +105,7 @@ def fit_power(points) -> KSFitResult:
     Requires S > 0 everywhere (real powers).  Standard errors come from
     the linearized three-parameter Jacobian at the optimum.
     """
-    pts, s, y = _canonical(points)
+    pts, s, y, e = _canonical(points)
     n = len(pts)
     if n < 4:
         raise ValueError(f"power fit needs at least 4 points, got {n}")
@@ -120,7 +123,7 @@ def fit_power(points) -> KSFitResult:
     warnings = []
     if nu - lo < 1e-6 or hi - nu < 1e-6:
         warnings.append(f"no interior minimum: nu = {nu!r} sits at the bracket boundary {NU_BRACKET}")
-    return _fit_at("power", pts, s, y, nu, warnings)
+    return _fit_at("power", pts, s, y, e, nu, warnings)
 
 
 def help_variable_from_pq(p: float, q: float, s: float) -> float:

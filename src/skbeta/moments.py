@@ -451,10 +451,10 @@ _SUMMARY_ROWS: tuple[tuple[str, str], ...] = (
 )
 
 
-def summary_block(columns: Mapping[str, MomentSummary], sig: int = 5) -> str:
+def summary_block(columns: Mapping[str, MomentSummary]) -> str:
     """Side-by-side text table of summaries, one column per input label.
 
-    Values are rounded to ``sig`` significant digits; this is the only
+    Values are rounded to 5 significant digits; this is the only
     human-readable (rounded) output in the package.
     """
     labels = list(columns)
@@ -470,6 +470,6 @@ def summary_block(columns: Mapping[str, MomentSummary], sig: int = 5) -> str:
             elif attr == "n":
                 cells.append(f"{v:>{width}d}")
             else:
-                cells.append(f"{v:>{width}.{sig}g}")
+                cells.append(f"{v:>{width}.5g}")
         lines.append(f"{row_name:<14}" + "".join(cells))
     return "\n".join(lines) + "\n"

@@ -12,10 +12,11 @@ Model family (r = 1 is the smallest value, N the series length):
 its exponents, ln y = ln(scale) + sum_j theta_j g_j(r, N), and one table,
 ``_log_terms``, gives the columns g_j together with d ln y / d(offset) for
 the offsets phi and psi.  Evaluation, the Jacobian and the initializer are
-all built on it.  Each fit builds a log-space least-squares initializer with
-the offsets at zero (profiling psi for ``lav4``), then refines with a damped
-Gauss-Newton pass on raw values and records why it stopped; the refined
-raw-space SSE never exceeds the initializer's.  R^2 is reported in raw space.
+all built on it.  Each fit starts from one log-space least-squares solve
+with the offsets at zero (``lav4``'s psi at 1), then refines every parameter
+with a damped Gauss-Newton pass on raw values and records why it stopped;
+the refined raw-space SSE never exceeds the initializer's.  R^2 is reported
+in raw space.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._numeric import golden_min, lstsq, r_squared, std_errors
+from ._numeric import lstsq, r_squared, rescale, std_errors, unit_scale
 from .betadist import BetaParams
 from .errors import EmptyInputError, FitDomainError, UnsupportedVariantError
 
@@ -35,7 +36,6 @@ __all__ = [
     "RankedSeries",
     "RankModelSpec",
     "RankFitResult",
-    "PSI_BRACKET",
     "rank_ascending",
     "eval_rank_model",
     "fit_rank_model",
@@ -44,8 +44,6 @@ __all__ = [
     "result_block",
     "series_csv",
 ]
-
-PSI_BRACKET = (0.0, 2.0)  # open at 0
 
 
 class RankVariant(str, Enum):
@@ -106,7 +104,7 @@ class RankFitResult:
     n: int
     stop: str  # why Gauss-Newton stopped, or "initializer" if its result was dropped
     iterations: int
-    profile_sse: float  # raw-space SSE of the initializer stage
+    profile_sse: float  # raw-space SSE of the Gauss-Newton start
 
     @property
     def converged(self) -> bool:
@@ -179,24 +177,16 @@ def _jacobian(variant: RankVariant, theta: np.ndarray, r: np.ndarray, n: int):
     return f, np.column_stack([f] + [f * col for col in g + dlog])
 
 
-def _log_fit(variant, theta: np.ndarray, r: np.ndarray, ln_y: np.ndarray, n: int):
-    """Log-space least squares of ln(scale) and the exponents at theta's offsets."""
-    g, _ = _log_terms(variant, theta, r, n)
-    coef, _, sse = lstsq(np.column_stack([np.ones(len(r))] + g), ln_y)
-    return np.concatenate([coef, theta[len(coef):]]), sse
-
-
 def _initial_theta(variant, r, y, n):
-    """Log-space fit with every offset at zero; lav4 profiles psi instead."""
-    ln_y = np.log(y)
+    """Log-space least squares of ln(scale) and the exponents, with every
+    offset at zero except lav4's psi at 1 (its base N - r + psi is psi at r = N)."""
     theta = np.zeros(len(PARAM_NAMES[variant]))
     if variant is RankVariant.LAV4:
-        def profile(psi: float) -> float:
-            theta[3] = psi
-            return _log_fit(variant, theta, r, ln_y, n)[1]
-
-        theta[3] = golden_min(profile, 1e-8, PSI_BRACKET[1])
-    return _log_fit(variant, theta, r, ln_y, n)[0]
+        theta[3] = 1.0
+    g, _ = _log_terms(variant, theta, r, n)
+    coef = lstsq(np.column_stack([np.ones(len(r))] + g), np.log(y))[0]
+    theta[: len(coef)] = coef
+    return theta
 
 
 def _sse(variant, theta, r, y, n) -> float:
@@ -254,10 +244,7 @@ def fit_rank_model(values, variant) -> RankFitResult:
         raise ValueError(
             f"{variant.value} fit needs at least {len(names) + 2} values, got {n}"
         )
-    # Fit y * 2^-e, e the binary exponent of the largest value: an exact change
-    # of units that keeps squares and Jacobians in range at any scale.
-    e = math.frexp(y[-1])[1]
-    y = np.ldexp(y, -e)
+    y, e = unit_scale(y)
     r = np.arange(1.0, n + 1.0)
     theta0 = _initial_theta(variant, r, y, n)
     init_sse = _sse(variant, theta0, r, y, n)
@@ -271,11 +258,7 @@ def fit_rank_model(values, variant) -> RankFitResult:
     jac[:, 0] /= scale
     ses = std_errors(jac, sse)
     r2 = r_squared(y, sse)
-    # Back to the values' units; an SSE beyond the float range reads inf or 0.0.
-    with np.errstate(over="ignore", under="ignore"):
-        scale, se_scale, sse, init_sse = np.ldexp(
-            [scale, ses[0], sse, init_sse], [e, e, 2 * e, 2 * e]
-        ).tolist()
+    scale, se_scale, sse, init_sse = rescale([scale, ses[0], sse, init_sse], [1, 1, 2, 2], e)
     return RankFitResult(
         spec=RankModelSpec(variant, (scale,) + tuple(float(v) for v in theta[1:])),
         std_errors=(se_scale,) + tuple(float(v) for v in ses[1:]),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from skbeta import betadist, ksfit, moments, ranksize, urnsim
+from skbeta import betadist, ksfit, moments, urnsim
 from skbeta.cli import main
 from skbeta.errors import InternalCheckError, SkbetaError
 from skbeta.ingest import GroupedDataset, bundled_fixture_path, write_grouped_csv
@@ -336,12 +336,29 @@ class TestPipeline:
         out = tmp_path / "out"
         assert run_cli("pipeline", "--synthetic", "--out-dir", str(out)) == 0
         manifest = (out / "manifest.txt").read_text()
-        assert "nu_bracket: [0.5, 4]\npsi_bracket: (0, 2]\n" in manifest
+        assert "nu_bracket: [0.5, 4]\n\n" in manifest
         monkeypatch.setattr(ksfit, "NU_BRACKET", (0.25, 6.5))
-        monkeypatch.setattr(ranksize, "PSI_BRACKET", (0.0, 3.0))
         assert run_cli("pipeline", "--synthetic", "--out-dir", str(out)) == 0
         manifest = (out / "manifest.txt").read_text()
-        assert "nu_bracket: [0.25, 6.5]\npsi_bracket: (0, 3]\n" in manifest
+        assert "nu_bracket: [0.25, 6.5]\n\n" in manifest
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("source", ["synthetic", "tiny"])
+    def test_manifest_lists_every_file(self, tmp_path, fmt, source):
+        if source == "synthetic":
+            argv, rc = ("--synthetic", "--simulate"), 0
+        else:  # every group skipped: only skipped_groups.csv is written
+            src = tmp_path / "tiny.csv"
+            src.write_text("province,city,value\n" + "".join(f"AA,c{i},1e-310\n" for i in range(6)))
+            argv, rc = ("--input", str(src)), 3
+        out = tmp_path / "out"
+        assert run_cli("pipeline", *argv, "--format", fmt, "--out-dir", str(out)) == rc
+        listed = {
+            line.strip()[2:] for line in (out / "manifest.txt").read_text().splitlines()
+            if line.startswith("    - ")
+        }
+        written = {p.name for p in out.iterdir()} - {"manifest.txt", "manifest.json"}
+        assert {f for f in written if not f.endswith(".json")} == listed
 
     def test_json_format(self, tmp_path):
         csv_out, json_out = tmp_path / "csv", tmp_path / "json"

@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 import random
 
@@ -144,6 +145,43 @@ class TestStandardErrorCalibration:
         assert hits_p >= n_seeds - 2
         assert hits_q >= n_seeds - 2
         assert hits_nu >= n_seeds - 2
+
+
+class TestScaleFree:
+    """Fits of K and c * K agree: exactly when c is a power of two."""
+
+    POINTS = synthetic_sk_points(n=60, p=1.05, q=0.4, noise=0.5, seed=7)
+
+    def scaled(self, c):
+        return [SKPoint(p.group_key, p.s, p.k * c, p.n) for p in self.POINTS]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fit", [fit_quadratic, fit_power])
+    @pytest.mark.parametrize("power", [500, -500, 990, -990])
+    def test_power_of_two_scale_is_exact(self, fit, power):
+        unit = fit(self.POINTS)
+        scaled = fit(self.scaled(math.ldexp(1.0, power)))
+        assert (scaled.nu, scaled.se_nu, scaled.r_squared) == (unit.nu, unit.se_nu, unit.r_squared)
+        for name in ("p", "q", "se_p", "se_q"):
+            assert getattr(scaled, name) == math.ldexp(getattr(unit, name), power)
+        assert scaled.residuals == tuple(np.ldexp(unit.residuals, power).tolist())
+        with np.errstate(over="ignore", under="ignore"):  # 4^990 sse: inf; 4^-990: 0.0
+            assert scaled.sse == float(np.ldexp(unit.sse, 2 * power))
+
+    # K * 1e200 rounds differently from K, and the golden search places nu to
+    # ~1e-9 relative, so the power fit moves by ~1e-8 between these scales.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fit,rel", [(fit_quadratic, 1e-13), (fit_power, 1e-6)])
+    @pytest.mark.parametrize("scale", [1e-300, 1e200])
+    def test_extreme_scale_matches_unit_scale(self, fit, rel, scale):
+        unit = fit(self.POINTS)
+        scaled = fit(self.scaled(scale))
+        assert scaled.nu == pytest.approx(unit.nu, rel=rel)
+        assert scaled.se_nu == pytest.approx(unit.se_nu, rel=rel)
+        for name in ("p", "q", "se_p", "se_q"):
+            assert getattr(scaled, name) == pytest.approx(getattr(unit, name) * scale, rel=rel, abs=0.0)
+        assert scaled.r_squared == pytest.approx(unit.r_squared, rel=1e-12)
+        assert not scaled.warnings
 
 
 class TestHelpVariableFromPQ:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import skbeta
-from skbeta._numeric import lstsq, std_errors
+from skbeta._numeric import lstsq, rescale, std_errors, unit_scale
 from skbeta.errors import SingularDesignError
 from skbeta.ksfit import fit_power
 from skbeta.moments import SKPoint
@@ -70,6 +70,19 @@ class TestStdErrors:
 
     def test_no_degrees_of_freedom_gives_zero(self):
         assert np.array_equal(std_errors(np.eye(2), 1.0), [0.0, 0.0])
+
+
+class TestUnitScale:
+    @pytest.mark.parametrize("factor", [2.0**-1000, 1e-300, 1.0, 3.0, 1e200, 2.0**1000])
+    def test_largest_value_lands_in_half_to_one_exactly(self, factor):
+        y = np.array([-0.3, 0.02, 1.7, -4.25]) * factor
+        scaled, e = unit_scale(y)
+        assert 0.5 <= np.abs(scaled).max() < 1.0
+        assert rescale(scaled, 1, e) == y.tolist()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rescale_out_of_range_reads_inf_or_zero(self):
+        assert rescale([0.75, 0.75, 0.75], [1, 2, -2], 600) == [0.75 * 2.0**600, np.inf, 0.0]
 
 
 def test_fit_power_rejects_all_equal_s():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -46,8 +47,9 @@ def _emit(out: Path, fmt: str, section, *inputs):
     if fmt == "json":
         for name, obj in objects.items():
             files[name] = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
-    for name, text in files.items():
+    if files:
         out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
         (out / name).write_text(text, encoding="utf-8", newline="\n")
     return result, listed
 
@@ -384,7 +386,9 @@ def cmd_pipeline(args) -> int:
     return EmptyResultError.exit_code if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="skbeta",
         description=(

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skbeta
 from skbeta import betadist, ksfit, moments, urnsim
 from skbeta.cli import main
 from skbeta.errors import InternalCheckError, SkbetaError
@@ -814,3 +819,24 @@ class TestSectionRunner:
         assert "group_stats: ok\n" + "".join(f"    - {n}\n" for n in names) in (
             b / "manifest.txt"
         ).read_text()
+
+
+def _tree(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_second_call_in_a_process_matches_a_lone_run(tmp_path):
+    """The parser is built once per process; one call leaves nothing for the next."""
+    src = tmp_path / "m.csv"
+    src.write_text(MICRO + "CC,e1,5\n")
+    first, second, lone = tmp_path / "first", tmp_path / "second", tmp_path / "lone"
+    argv = ["pipeline", "--input", str(src), "--seed", "7", "--format", "json"]
+    assert run_cli("stats", "--input", str(src), "--min-n", "6", "--bins", "3",
+                   "--out-dir", str(first)) == 0
+    rc = run_cli(*argv, "--out-dir", str(second))
+    env = dict(os.environ, PYTHONPATH=str(Path(skbeta.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "skbeta.cli", *argv, "--out-dir", str(lone)],
+                          env=env, capture_output=True)
+    assert done.returncode == rc
+    assert _tree(second) == _tree(lone)
+    assert "sk_points.csv" in _tree(second)

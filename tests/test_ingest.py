@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -313,6 +315,22 @@ def test_grouped_dataset_layout():
     assert ds != GroupedDataset({"B": (3.0, 1.0), "A": [2.5], "E": ()}, "w")
 
 
+_PLAIN_FORMS = [("\n", ",", b""), ("\r\n", ",", b""), ("\n", "\t", b""), ("\r\n", "\t", b"\xef\xbb\xbf")]
+
+
+def _plain_file(tmp_path, newline, delim, bom):
+    """A small synthetic dataset and a plain file of it."""
+    ds = synthetic_grouped_dataset(n_groups=7, seed=2, min_size=3, max_size=9)
+    lines = [delim.join(("province", "city", "value"))] + [
+        delim.join((key, f"c{i}", repr(v)))
+        for key, vals in ds.groups.items()
+        for i, v in enumerate(vals)
+    ]
+    path = tmp_path / "m.csv"
+    path.write_bytes(bom + newline.join(lines).encode() + newline.encode())
+    return ds, path
+
+
 class TestColumnarFastPath:
     """``parse_city_csv`` reads plain files column-wise; ``_parse_rows`` is
     the row-by-row reader it falls back to."""
@@ -323,19 +341,9 @@ class TestColumnarFastPath:
             path, read_text(path), column_map
         )
 
-    @pytest.mark.parametrize(
-        "newline, delim, bom",
-        [("\n", ",", b""), ("\r\n", ",", b""), ("\n", "\t", b""), ("\r\n", "\t", b"\xef\xbb\xbf")],
-    )
+    @pytest.mark.parametrize("newline, delim, bom", _PLAIN_FORMS)
     def test_plain_files_take_the_fast_path(self, tmp_path, newline, delim, bom):
-        ds = synthetic_grouped_dataset(n_groups=7, seed=2, min_size=3, max_size=9)
-        lines = [delim.join(("province", "city", "value"))] + [
-            delim.join((key, f"c{i}", repr(v)))
-            for key, vals in ds.groups.items()
-            for i, v in enumerate(vals)
-        ]
-        path = tmp_path / "m.csv"
-        path.write_bytes(bom + newline.join(lines).encode() + newline.encode())
+        ds, path = _plain_file(tmp_path, newline, delim, bom)
         fast, slow = self.both(path)
         assert fast is not None
         assert fast == slow == ds
@@ -428,7 +436,17 @@ def _damage(rows, defects):
     return rows
 
 
-@given(
+def _property_file(tmp_path_factory, rows, defects, delim, newline, bom, trailing, extra):
+    header = ["province", "city", "value"] + (["extra"] if extra else [])
+    body = [row + ["x"] if extra and len(row) == 3 else row for row in _damage(rows, defects)]
+    lines = [delim.join(header)] + [delim.join(row) for row in body]
+    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if trailing else "")
+    path = tmp_path_factory.mktemp("prop") / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+_file_args = dict(
     rows=_valid_rows,
     defects=_defects,
     delim=st.sampled_from([",", "\t"]),
@@ -436,21 +454,175 @@ def _damage(rows, defects):
     bom=st.booleans(),
     trailing=st.booleans(),
     extra=st.booleans(),
-    chunk=st.sampled_from([5, 40, 1 << 20]),
 )
+
+
+@given(**_file_args, chunk=st.sampled_from([5, 40, 1 << 20]))
 @settings(max_examples=400, deadline=None)
-def test_fast_path_agrees_with_row_reader(
-    tmp_path_factory, rows, defects, delim, newline, bom, trailing, extra, chunk
-):
-    header = ["province", "city", "value"] + (["extra"] if extra else [])
-    body = [row + ["x"] if extra and len(row) == 3 else row for row in _damage(rows, defects)]
-    lines = [delim.join(header)] + [delim.join(row) for row in body]
-    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if trailing else "")
-    path = tmp_path_factory.mktemp("prop") / "m.csv"
-    path.write_bytes(text.encode("utf-8"))
+def test_fast_path_agrees_with_row_reader(tmp_path_factory, chunk, **file_args):
+    path = _property_file(tmp_path_factory, **file_args)
     expected = _outcome(lambda: ingest._parse_rows(path, read_text(path), None))
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
         assert _outcome(lambda: parse_city_csv(path)) == expected
+
+
+@contextlib.contextmanager
+def in_parts(n):
+    """Parse plain files in ``n`` parts, however small: ``n`` usable CPUs and
+    no size floor.  Yields a spy on ``os.fork``."""
+    with mock.patch.object(ingest, "_FORK_MIN_CHARS", 1), mock.patch.object(
+        os, "sched_getaffinity", lambda pid: set(range(n))
+    ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        yield fork
+
+
+def bits(dataset):
+    return dataset.keys, dataset.counts.tobytes(), dataset.values.tobytes(), dataset.value_label
+
+
+@given(**_file_args, parts=st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_forked_parts_agree_with_row_reader(tmp_path_factory, parts, **file_args):
+    path = _property_file(tmp_path_factory, **file_args)
+    expected = _outcome(lambda: ingest._parse_rows(path, read_text(path), None))
+    with in_parts(parts):
+        assert _outcome(lambda: parse_city_csv(path)) == expected
+
+
+def _lines(keys):
+    return "province,city,value\n" + "".join(f"{k},c{i},{i % 97 * 0.25!r}\n" for i, k in enumerate(keys))
+
+
+_PART_CASES = {
+    "grouped": _lines(["A"] * 40 + ["B"] * 30 + ["C"] * 50),
+    "recurring": _lines(["A", "B"] * 60),  # both provinces in every part
+    "late_first": _lines(["A"] * 80 + ["B", "A"] * 20),  # B first appears in the last part
+    "reordered": _lines(["A", "B", "C"] * 10 + ["C", "B"] * 20 + ["D", "A"] * 20),
+    "interleaved_tab": _lines(["P1", "P2", "P3", "P4", "P5"] * 30).replace(",", "\t"),
+}
+
+
+class TestForkedParts:
+    """Parts parsed in forked children give the serial dataset, bit for bit."""
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("case", list(_PART_CASES))
+    def test_parts_equal_one_part(self, tmp_path, parts, case):
+        path = write(tmp_path, "m.csv", _PART_CASES[case])
+        serial = parse_city_csv(path)
+        assert ingest._columnar(read_text(path), None) is not None
+        with in_parts(parts) as fork:
+            forked = parse_city_csv(path)
+        assert fork.call_count == parts - 1
+        assert bits(forked) == bits(serial)
+        assert forked == ingest._parse_rows(path, read_text(path), None)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("newline, delim, bom", _PLAIN_FORMS)
+    def test_plain_files(self, tmp_path, parts, newline, delim, bom):
+        ds, path = _plain_file(tmp_path, newline, delim, bom)
+        with in_parts(parts) as fork:
+            forked = parse_city_csv(path)
+        assert fork.call_count == parts - 1
+        assert bits(forked) == bits(ds)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("blank_lines", [0, 2])
+    def test_small_chunks_and_trailing_blank_lines(self, tmp_path, parts, blank_lines):
+        path = tmp_path / "m.csv"
+        write_grouped_csv(synthetic_grouped_dataset(n_groups=12, seed=4), path)
+        path.write_text(path.read_text() + "\n" * blank_lines)
+        serial = parse_city_csv(path)
+        with in_parts(parts) as fork, mock.patch.object(ingest, "_CHUNK_CHARS", 37):
+            forked = parse_city_csv(path)
+        assert fork.call_count == parts - 1
+        assert bits(forked) == bits(serial)
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("where", [0.1, 0.5, 0.95])
+    @pytest.mark.parametrize("line", ["B,c,-1", "B,c,x", "B,c"])
+    def test_one_bad_line_keeps_its_line_number(self, tmp_path, parts, where, line):
+        """A bad line in the parent's part, a child's or the last one; the
+        file is large enough that each child fills its pipe."""
+        lines = _lines(["A", "B", "C"] * 6000).splitlines(keepends=True)
+        bad = int(len(lines) * where)
+        lines[bad] = line + "\n"
+        path = write(tmp_path, "m.csv", "".join(lines))
+        with pytest.raises(ParseError) as serial:
+            parse_city_csv(path)
+        with in_parts(parts) as fork, pytest.raises(ParseError) as forked:
+            parse_city_csv(path)
+        assert fork.call_count == parts - 1
+        assert str(forked.value) == str(serial.value)
+        assert f"line {bad + 1}:" in str(serial.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedPartsRobustness:
+    FILE = _lines(["A", "B", "C", "A", "D"] * 4000)
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return write(tmp_path, "m.csv", self.FILE)
+
+    @staticmethod
+    def in_children(action):
+        """``ingest._runs`` that runs ``action`` in a forked child instead."""
+        parent, runs = os.getpid(), ingest._runs
+
+        def patched(*args):
+            return action() if os.getpid() != parent else runs(*args)
+
+        return mock.patch.object(ingest, "_runs", patched)
+
+    def _raise(self):
+        raise RuntimeError("child failed")
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_failed_child_part_is_parsed_by_the_parent(self, path, failure):
+        serial = parse_city_csv(path)
+        action = self._raise if failure == "raise" else lambda: os._exit(3)
+        with in_parts(3) as fork, self.in_children(action):
+            forked = parse_city_csv(path)
+        assert fork.call_count == 2
+        assert bits(forked) == bits(serial)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_short_data_is_parsed_by_the_parent(self, path):
+        serial = parse_city_csv(path)
+        parent, write_fd = os.getpid(), os.write
+
+        def short_write(fd, data):
+            if os.getpid() != parent and len(data) > 1000:  # half an array, then exit 0
+                write_fd(fd, data[: len(data) // 2])
+                os._exit(0)
+            return write_fd(fd, data)
+
+        with in_parts(2) as fork, mock.patch.object(os, "write", short_write):
+            forked = parse_city_csv(path)
+        assert fork.call_count == 1
+        assert bits(forked) == bits(serial)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_is_left_unreaped(self, path):
+        with in_parts(3) as fork:
+            parse_city_csv(path)
+        assert fork.call_count == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_usable_cpu_never_forks(self, path):
+        serial = parse_city_csv(path)
+        with in_parts(1), mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            assert bits(parse_city_csv(path)) == bits(serial)
+
+    def test_failed_fork_parses_in_the_parent(self, path):
+        serial = parse_city_csv(path)
+        with in_parts(3), mock.patch.object(os, "fork", side_effect=BlockingIOError(11, "EAGAIN")):
+            assert bits(parse_city_csv(path)) == bits(serial)
 
 
 class TestPinnedBytes:

@@ -9,7 +9,9 @@ directory and relative paths only, once with ``--format csv`` and once with
 ``--format json``; call NAME in format FMT writes into OUTDIR/NAME-FMT, and
 its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
 The inputs are made first, under OUTDIR/inputs: a seeded microdata file,
-the all-equal tiny file, the bundled province table, the S/K points of
+a seeded ~9 MB one with interleaved provinces (large enough that
+``parse_city_csv`` parses it in forked parts on a host with 2 or more
+usable CPUs), the all-equal tiny file, the bundled province table, the S/K points of
 ``pipeline --synthetic --seed 0`` and the same points with K scaled by
 1e-300 and 1e200.  Two checkouts' batteries compare with ``diff -r``.
 Standard library only.
@@ -32,6 +34,7 @@ CALLS = {
     "pipeline_synthetic_3": ["pipeline", "--synthetic", "--seed", "3", "--simulate"],
     "pipeline_fixture": ["pipeline", "--input", FIXTURE, "--value-column", "ati_eur"],
     "pipeline_micro": ["pipeline", "--input", "inputs/micro.csv"],
+    "pipeline_large": ["pipeline", "--input", "inputs/large.csv"],
     "pipeline_tiny": ["pipeline", "--input", "inputs/tiny.csv"],
     "stats_micro": ["stats", "--input", "inputs/micro.csv"],
     "stats_tiny": ["stats", "--input", "inputs/tiny.csv"],
@@ -80,6 +83,13 @@ def make_inputs(root: Path, src: Path) -> None:
         for g in range(12) for i in range(30 + 5 * g)
     ]
     (inputs / "micro.csv").write_text("province,city,value\n" + "".join(rows))
+    # 40 provinces in random order, ten of them only in the second half
+    rng = random.Random(1)
+    rows = [
+        f"L{rng.randrange(30 + 10 * (i >= 160_000)):02d},c{i},{rng.lognormvariate(10.0, 1.5)!r}\n"
+        for i in range(320_000)
+    ]
+    (inputs / "large.csv").write_text("province,city,value\n" + "".join(rows))
     done = cli(root, src, ["pipeline", "--synthetic", "--seed", "0", "--out-dir", "inputs/synthetic"])
     if done.returncode != 0:
         raise SystemExit(f"making {POINTS} failed:\n{done.stderr}")

@@ -1,7 +1,8 @@
 """Least-squares fits of the kurtosis-skewness relation K = p S^nu + q.
 
-The quadratic model fixes nu = 2; the power model profiles nu by
-golden-section search over [0.5, 4].  At its nu each calls one core that
+The quadratic model fixes nu = 2; the power model finds nu in [0.5, 4] by
+variable projection (``_numeric.separable_fit``, p and q projected out)
+from the best point of an 8-point grid.  At its nu each calls one core that
 solves the linear (p, q) problem.  Fitting happens in raw (K, S) space (the
 additive q, which can be negative, forbids log transforms) and R^2 is
 reported in raw space as well.  Both fits run on K times a power of two
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import golden_min, lstsq, r_squared, rescale, std_errors, unit_scale
+from ._numeric import lstsq, r_squared, rescale, separable_fit, std_errors, unit_scale
 from .errors import FitDomainError, SingularDesignError, UndefinedHelpVariableError
 from .moments import SKPoint
 
@@ -118,8 +119,14 @@ def fit_power(points) -> KSFitResult:
         raise SingularDesignError("all S values are equal; cannot fit p, q and nu")
 
     lo, hi = NU_BRACKET
-    ones = np.ones(n)
-    nu = golden_min(lambda v: lstsq(np.column_stack([s**v, ones]), y)[2], lo, hi)
+    ones, zeros, log_s = np.ones(n), np.zeros(n), np.log(s)
+
+    def columns(theta):
+        power = s ** theta[0]
+        return np.column_stack([power, ones]), np.column_stack([power * log_s, zeros])[None]
+
+    start = min(np.linspace(lo, hi, 8), key=lambda v: lstsq(columns([v])[0], y)[2])
+    nu = float(separable_fit(columns, [start], y, lo, hi)[0][0])
     warnings = []
     if nu - lo < 1e-6 or hi - nu < 1e-6:
         warnings.append(f"no interior minimum: nu = {nu!r} sits at the bracket boundary {NU_BRACKET}")

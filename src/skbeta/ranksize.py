@@ -11,12 +11,12 @@ Model family (r = 1 is the smallest value, N the series length):
 ``lav3`` is exactly ``lav5`` at phi = psi = 0.  Each law is log-linear in
 its exponents, ln y = ln(scale) + sum_j theta_j g_j(r, N), and one table,
 ``_log_terms``, gives the columns g_j together with d ln y / d(offset) for
-the offsets phi and psi.  Evaluation, the Jacobian and the initializer are
-all built on it.  Each fit starts from one log-space least-squares solve
-with the offsets at zero (``lav4``'s psi at 1), then refines every parameter
-with a damped Gauss-Newton pass on raw values and records why it stopped;
-the refined raw-space SSE never exceeds the initializer's.  R^2 is reported
-in raw space.
+the offsets phi and psi.  Evaluation, the Jacobian and the start are all
+built on it.  Each fit starts from one log-space least-squares solve with
+the offsets at zero (``lav4``'s psi at 1), then fits the raw values by
+variable projection (``_numeric.separable_fit``, the scale projected out)
+and records why it stopped; its raw-space SSE never exceeds the start's.
+R^2 is reported in raw space.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._numeric import lstsq, r_squared, rescale, std_errors, unit_scale
+from ._numeric import lstsq, r_squared, rescale, separable_fit, std_errors, unit_scale
 from .betadist import BetaParams
 from .errors import EmptyInputError, FitDomainError, UnsupportedVariantError
 
@@ -102,13 +102,12 @@ class RankFitResult:
     r_squared: float
     sse: float
     n: int
-    stop: str  # why Gauss-Newton stopped, or "initializer" if its result was dropped
+    stop: str  # why separable_fit stopped: "tolerance", "no descent" or "max_iter"
     iterations: int
-    profile_sse: float  # raw-space SSE of the Gauss-Newton start
 
     @property
     def converged(self) -> bool:
-        return self.stop in ("tolerance", "no descent")
+        return self.stop == "tolerance"
 
 
 def rank_ascending(values) -> RankedSeries:
@@ -121,13 +120,11 @@ def rank_ascending(values) -> RankedSeries:
     return RankedSeries(tuple(sorted(vals)))
 
 
-def _log_terms(variant: RankVariant, theta, r: np.ndarray, n: int):
-    """The rank-model table: ``(g, dlog)`` for fit-space parameters ``theta``.
-
-    ``theta[0]`` is ln(scale) and the rest are the raw parameters, the
-    exponents first and the offsets (lav5's phi and psi, lav4's psi) last.
-    ``ln f = theta[0] + sum_j theta[1 + j] * g[j]`` over the exponents, and
-    ``dlog`` holds d ln f / d(offset) for each offset.
+def _log_terms(variant: RankVariant, p, r: np.ndarray, n: int):
+    """The rank-model table: ``(g, dlog)`` for the parameters ``p`` after the
+    scale, the exponents first and the offsets (lav5's phi and psi, lav4's
+    psi) last.  ``ln f = ln(scale) + sum_j p[j] * g[j]`` over the exponents,
+    and ``dlog`` holds d ln f / d(offset) for each offset.
     """
     if variant is RankVariant.ZIPF:
         return [-np.log(r)], []
@@ -136,11 +133,11 @@ def _log_terms(variant: RankVariant, theta, r: np.ndarray, n: int):
     if variant is RankVariant.LAV3:
         return [-np.log(r), -np.log(n - r + 1.0)], []
     if variant is RankVariant.LAV5:
-        b1, b2 = _positive(r + theta[3], n + 1.0 - r + theta[4])
-        return [-np.log(b1), -np.log(b2)], [-theta[1] / b1, -theta[2] / b2]
+        b1, b2 = _positive(r + p[2], n + 1.0 - r + p[3])
+        return [-np.log(b1), -np.log(b2)], [-p[0] / b1, -p[1] / b2]
     if variant is RankVariant.LAV4:
-        (b2,) = _positive(n - r + theta[3])
-        return [-np.log(b2), np.log(r)], [-theta[1] / b2]
+        (b2,) = _positive(n - r + p[2])
+        return [-np.log(b2), np.log(r)], [-p[0] / b2]
     raise UnsupportedVariantError(f"unknown variant {variant}")
 
 
@@ -151,18 +148,16 @@ def _positive(*bases: np.ndarray):
     return bases
 
 
-def _eval_vec(variant: RankVariant, theta, r: np.ndarray, n: int):
-    """Model values at fit-space ``theta``, with the table's ``g`` and ``dlog``."""
-    g, dlog = _log_terms(variant, theta, r, n)
-    ln_f = theta[0] + theta[1] * g[0]
-    for t, col in zip(theta[2:], g[1:]):
-        ln_f += t * col
-    return np.exp(ln_f), g, dlog
+def _ln_model(variant: RankVariant, theta, r: np.ndarray, n: int):
+    """ln of the model values at fit-space ``theta`` (ln(scale) first), with
+    the table's ``g`` and ``dlog``."""
+    g, dlog = _log_terms(variant, theta[1:], r, n)
+    return sum((t * col for t, col in zip(theta[1:], g)), theta[0]), g, dlog
 
 
 def _spec_values(spec: RankModelSpec, r: np.ndarray, n: int) -> np.ndarray:
     theta = (math.log(spec.params[0]),) + spec.params[1:]
-    return _eval_vec(spec.variant, theta, r, n)[0]
+    return np.exp(_ln_model(spec.variant, theta, r, n)[0])
 
 
 def eval_rank_model(spec: RankModelSpec, r: int, n: int) -> float:
@@ -173,8 +168,9 @@ def eval_rank_model(spec: RankModelSpec, r: int, n: int) -> float:
 
 
 def _jacobian(variant: RankVariant, theta: np.ndarray, r: np.ndarray, n: int):
-    f, g, dlog = _eval_vec(variant, theta, r, n)
-    return f, np.column_stack([f] + [f * col for col in g + dlog])
+    ln_f, g, dlog = _ln_model(variant, theta, r, n)
+    f = np.exp(ln_f)
+    return np.column_stack([f] + [f * col for col in g + dlog])
 
 
 def _initial_theta(variant, r, y, n):
@@ -183,49 +179,28 @@ def _initial_theta(variant, r, y, n):
     theta = np.zeros(len(PARAM_NAMES[variant]))
     if variant is RankVariant.LAV4:
         theta[3] = 1.0
-    g, _ = _log_terms(variant, theta, r, n)
+    g, _ = _log_terms(variant, theta[1:], r, n)
     coef = lstsq(np.column_stack([np.ones(len(r))] + g), np.log(y))[0]
     theta[: len(coef)] = coef
     return theta
 
 
-def _sse(variant, theta, r, y, n) -> float:
-    try:
-        f = _eval_vec(variant, theta, r, n)[0]
-    except FitDomainError:
-        return math.inf
-    if not np.all(np.isfinite(f)):
-        return math.inf
-    d = y - f
-    return float(d @ d)
+def _columns(variant, r, n):
+    """``separable_fit``'s model in the exponents and offsets ``p``: the column
+    h = exp(ln f - shift), shift = max ln f at ln(scale) = 0, and dh/dp; None
+    where a base is nonpositive or the scale, coef e^-shift, leaves the float range."""
 
+    def columns(p):
+        try:
+            ln_h, g, dlog = _ln_model(variant, [0.0, *p], r, n)
+        except FitDomainError:
+            return None
+        if abs(ln_h.max()) > 700.0:
+            return None
+        h = np.exp(ln_h - ln_h.max())
+        return h[:, None], (np.array(g + dlog) * h)[:, :, None]
 
-def _gauss_newton(variant, theta0, r, y, n, max_iter=200):
-    """Damped Gauss-Newton on raw values: ``(theta, sse, stop, iterations)``.
-
-    ``stop`` is ``"tolerance"`` (the SSE fell by at most 1e-14 relative),
-    ``"no descent"`` (40 step halvings found no lower SSE) or
-    ``"max_iter"``; ``iterations`` counts the Jacobians evaluated.
-    """
-    theta = theta0
-    sse = _sse(variant, theta, r, y, n)
-    for it in range(1, max_iter + 1):
-        f, jac = _jacobian(variant, theta, r, n)
-        step = lstsq(jac, y - f)[0]
-        lam = 1.0
-        for _ in range(40):
-            cand = theta + lam * step
-            cand_sse = _sse(variant, cand, r, y, n)
-            if cand_sse < sse:
-                break
-            lam *= 0.5
-        else:
-            return theta, sse, "no descent", it
-        drop = sse - cand_sse
-        theta, sse = cand, cand_sse
-        if drop <= 1e-14 * max(sse, 1e-300):
-            return theta, sse, "tolerance", it
-    return theta, sse, "max_iter", max_iter
+    return columns
 
 
 def fit_rank_model(values, variant) -> RankFitResult:
@@ -246,19 +221,17 @@ def fit_rank_model(values, variant) -> RankFitResult:
         )
     y, e = unit_scale(y)
     r = np.arange(1.0, n + 1.0)
-    theta0 = _initial_theta(variant, r, y, n)
-    init_sse = _sse(variant, theta0, r, y, n)
-    theta, sse, stop, iterations = _gauss_newton(variant, theta0, r, y, n)
-    if not math.isfinite(sse) or sse > init_sse:
-        theta, sse, stop = theta0, init_sse, "initializer"
-
-    scale = math.exp(theta[0])
+    p0 = _initial_theta(variant, r, y, n)[1:]
+    p, (c,), sse, stop, iterations = separable_fit(_columns(variant, r, n), p0, y)
+    shift = _ln_model(variant, [0.0, *p], r, n)[0].max()
+    scale = c * math.exp(-shift)
+    theta = np.concatenate(([math.log(c) - shift], p))
     # Jacobian with respect to the raw parameters: d f / d scale = f / scale.
-    _, jac = _jacobian(variant, theta, r, n)
+    jac = _jacobian(variant, theta, r, n)
     jac[:, 0] /= scale
     ses = std_errors(jac, sse)
     r2 = r_squared(y, sse)
-    scale, se_scale, sse, init_sse = rescale([scale, ses[0], sse, init_sse], [1, 1, 2, 2], e)
+    scale, se_scale, sse = rescale([scale, ses[0], sse], [1, 1, 2], e)
     return RankFitResult(
         spec=RankModelSpec(variant, (scale,) + tuple(float(v) for v in theta[1:])),
         std_errors=(se_scale,) + tuple(float(v) for v in ses[1:]),
@@ -267,7 +240,6 @@ def fit_rank_model(values, variant) -> RankFitResult:
         n=n,
         stop=stop,
         iterations=iterations,
-        profile_sse=init_sse,
     )
 
 

@@ -1,13 +1,15 @@
 """The shared least-squares core and the rank-model table built on it."""
 
 import pathlib
+import random
 import re
 
 import numpy as np
 import pytest
 
 import skbeta
-from skbeta._numeric import lstsq, rescale, std_errors, unit_scale
+from skbeta import moments, synthetic
+from skbeta._numeric import lstsq, rescale, separable_fit, std_errors, unit_scale
 from skbeta.errors import SingularDesignError
 from skbeta.ksfit import fit_power
 from skbeta.moments import SKPoint
@@ -83,6 +85,72 @@ class TestUnitScale:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rescale_out_of_range_reads_inf_or_zero(self):
         assert rescale([0.75, 0.75, 0.75], [1, 2, -2], 600) == [0.75 * 2.0**600, np.inf, 0.0]
+
+
+class TestSeparableFit:
+    T = np.linspace(0.0, 4.0, 40)
+
+    def decay(self, theta):
+        e = np.exp(-theta[0] * self.T)
+        return np.column_stack([e, np.ones(self.T.size)]), np.column_stack([-self.T * e, np.zeros_like(e)])[None]
+
+    def test_recovers_exponential_decay(self):
+        y = 2.0 * np.exp(-0.7 * self.T) + 0.5
+        theta, coef, sse, stop, iterations = separable_fit(self.decay, [0.1], y)
+        assert theta[0] == pytest.approx(0.7, rel=1e-12)
+        assert coef == pytest.approx([2.0, 0.5], rel=1e-12)
+        assert sse < 1e-28 and stop == "tolerance" and iterations < 20
+
+    def test_clips_to_bounds(self):
+        y = 2.0 * np.exp(-0.7 * self.T) + 0.5
+        assert separable_fit(self.decay, [0.1], y, [0.0], [0.5])[0][0] == 0.5
+
+    def test_start_outside_domain_is_value_error(self):
+        with pytest.raises(ValueError, match="outside the model's domain"):
+            separable_fit(lambda theta: None, [0.1], np.ones(5))
+
+    def test_ridge_fit_converges(self):
+        # the K series of tools/cli_battery.py's micro.csv; its optimum's SSE
+        # is from Gauss-Newton run on for 5000 steps
+        rng = random.Random(0)
+        groups = {
+            f"P{g:02d}": [rng.lognormvariate(10.0, 1.0) for _ in range(30 + 5 * g)]
+            for g in range(12)
+        }
+        k = [p.k for p in moments.group_sk_points(groups).points]
+        fit = fit_rank_model(k, "lav4")
+        assert fit.stop == "tolerance" and fit.iterations < 200
+        assert fit.sse == pytest.approx(1.0216783189672, rel=1e-9)
+
+    @staticmethod
+    def moved(unit, scaled, c):
+        """Largest relative move of fitted parameters when the data is scaled by c."""
+        return max(abs(b - a * (c if i == 0 else 1.0)) / abs(b) for i, (a, b) in enumerate(zip(unit, scaled)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pipeline_fits_reproducible_under_rescaling(self, seed):
+        """Data times 1 + 2^-40 moves every fitted parameter by <= 1e-12 relative.
+
+        Covers lav4 on the S and K series and the power fit's nu of ``pipeline
+        --synthetic``.  Series with no interior optimum, such as the K series
+        of ``synthetic_sk_points``, are left out: their fits have no point that
+        rounding cannot move.
+        """
+        c = 1.0 + 2.0**-40
+        points = moments.group_sk_points(synthetic.synthetic_grouped_dataset(seed=seed)).points
+        for target in ("s", "k"):
+            y = np.array([getattr(p, target) for p in points])
+            unit, scaled = fit_rank_model(y, "lav4"), fit_rank_model(y * c, "lav4")
+            assert self.moved(unit.spec.params, scaled.spec.params, c) <= 1e-12
+        bigger = [SKPoint(p.group_key, p.s, p.k * c, p.n) for p in points]
+        assert fit_power(bigger).nu == pytest.approx(fit_power(points).nu, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", list(RankVariant))
+    def test_rank_fits_reproducible_under_rescaling(self, variant):
+        c = 1.0 + 2.0**-40
+        base = np.random.default_rng(7).lognormal(1.0, 0.8, 60)  # test_ranksize's BASE
+        unit, scaled = fit_rank_model(base, variant), fit_rank_model(base * c, variant)
+        assert self.moved(unit.spec.params, scaled.spec.params, c) <= 1e-12
 
 
 def test_fit_power_rejects_all_equal_s():

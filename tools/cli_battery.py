@@ -44,6 +44,10 @@ CALLS = {
     "rank_fit_lav4_s": ["rank-fit", "--input", POINTS, "--target", "s"],
     "rank_fit_lav4_k": ["rank-fit", "--input", POINTS, "--target", "k"],
     "rank_fit_zipf_k": ["rank-fit", "--input", POINTS, "--target", "k", "--variant", "zipf"],
+    "rank_fit_yule_simon_k": [
+        "rank-fit", "--input", POINTS, "--target", "k", "--variant", "yule_simon",
+    ],
+    "rank_fit_lav3_k": ["rank-fit", "--input", POINTS, "--target", "k", "--variant", "lav3"],
     "rank_fit_ati": ["rank-fit", "--input", FIXTURE, "--value-column", "ati_eur"],
     "rank_fit_population": ["rank-fit", "--input", FIXTURE, "--value-column", "population"],
     "beta_calibrate": ["beta-calibrate", "--skew", "0.5656854249492381", "--kurt", "2.4"],

@@ -35,10 +35,11 @@ def separable_fit(columns, theta, y, lo=-np.inf, hi=np.inf, max_iter=200):
     if (state := project(theta)) is None:
         raise ValueError("the fit's start lies outside the model's domain")
     coef, resid, sse, a, da = state
+    floor = rounding_floor(y)
     for it in range(1, max_iter + 1):
         sol, rest, _ = lstsq(np.column_stack([a, np.einsum("kml,l->mk", da, coef)]), resid)
         step = sol[len(coef):]
-        done = np.sum((resid - rest) ** 2) <= 1e-12 * sse + rounding_floor(y)
+        done = np.sum((resid - rest) ** 2) <= 1e-12 * sse + floor
         for lam in 0.5 ** np.arange(1 if done else 40):
             cand = np.clip(theta + lam * step, lo, hi)
             new = project(cand)

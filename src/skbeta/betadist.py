@@ -17,6 +17,7 @@ Parameterization notes
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -116,54 +117,81 @@ def beta_pdf(x: float, params: BetaParams) -> float:
     return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _ln_beta(a, b))
 
 
-def _beta_contfrac(a: float, b: float, x: np.ndarray) -> np.ndarray:
+# Lentz steps whose coefficients ``_beta_contfrac`` forms at once, as one
+# (steps x points) array per parity.  A point that converges inside a block
+# runs to its end; those steps are discarded.
+_CF_BLOCK = 16
+
+# The modified Lentz scheme's floor on |d| and |c|.
+_FPMIN = 1e-300
+
+
+def _beta_contfrac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     # Continued fraction for the regularized incomplete Beta at every point
-    # of x, evaluated with the modified Lentz scheme (Thompson & Barnett 1986,
-    # J. Comput. Phys. 64:490).  Converges fast for x < (a+1)/(a+b+2).  Each
-    # point stops at its own convergence and meets the float operations of a
-    # loop over the points in the same order, so its value is that loop's.
-    # Near the mode the iterations grow about like a**(1/3): 515 at a = 1e6,
-    # 2358 at a = 1e8.  A fixed cap bounds the time a hopeless curve takes.
+    # of x, each with its own shapes a and b, evaluated with the modified
+    # Lentz scheme (Thompson & Barnett 1986, J. Comput. Phys. 64:490).
+    # Converges fast for x < (a+1)/(a+b+2).  Each step records h and delta;
+    # a point's value is h at its first step with |delta - 1| < eps, and the
+    # points so found drop out between blocks.  Every point meets the float
+    # operations of a loop over the points in the same order, so its value
+    # is that loop's.  Near the mode the iterations grow about like
+    # a**(1/3): 515 at a = 1e6, 2358 at a = 1e8.  A fixed cap bounds the time
+    # a hopeless curve takes.
     max_iter = 10_000
     eps = 1e-16
-    fpmin = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
     out = np.empty_like(x)
     todo = np.arange(x.size)
-    c = np.ones_like(x)
-    d = _floor(1.0 - qab * x / qap, fpmin)
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = _floor(1.0 + aa * d, fpmin)
-        c = _floor(1.0 + aa / c, fpmin)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = _floor(1.0 + aa * d, fpmin)
-        c = _floor(1.0 + aa / c, fpmin)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        done = np.abs(delta - 1.0) < eps
+    qab = a + b
+    qap = a + 1.0
+    h = 1.0 / _floor(1.0 - qab * x / qap)
+    # one row per point value: x, a, b, a + b, a + 1, a - 1 and the state d, c, h
+    pts = np.array([x, a, b, qab, qap, a - 1.0, h, np.ones_like(x), h])
+    m0 = 1
+    while todo.size and m0 <= max_iter:
+        x, a, b, qab, qap, qam, d, c, h = pts
+        dc = pts[6:8]
+        m = np.arange(m0, min(m0 + _CF_BLOCK, max_iter + 1), dtype=float)[:, None]
+        m2 = 2.0 * m
+        odd = m * (b - m) * x / ((qam + m2) * (a + m2))
+        even = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        deltas = np.empty_like(odd)
+        hs = np.empty_like(odd)
+        for j in range(len(m)):
+            _lentz_update(odd[j], d, c, dc)
+            h = h * (d * c)
+            _lentz_update(even[j], d, c, dc)
+            h = np.multiply(h, np.multiply(d, c, out=deltas[j]), out=hs[j])
+        pts[8] = h
+        m0 += len(m)
+        conv = np.abs(deltas - 1.0) < eps
+        done = conv.any(axis=0)
         if done.any():
-            out[todo[done]] = h[done]
+            out[todo[done]] = hs[conv.argmax(axis=0)[done], done.nonzero()[0]]
             keep = ~done
-            todo, x, c, d, h = todo[keep], x[keep], c[keep], d[keep], h[keep]
-        if not todo.size:
-            return out
-    raise InternalCheckError(
-        f"incomplete-beta continued fraction failed to converge for a={a}, b={b}, x={x[0]}"
-    )
+            todo, pts = todo[keep], pts[:, keep]
+    if todo.size:
+        x, a, b = pts[:3, 0].tolist()
+        raise InternalCheckError(
+            f"incomplete-beta continued fraction failed to converge for a={a}, b={b}, x={x}"
+        )
+    return out
 
 
-def _floor(v: np.ndarray, fpmin: float) -> np.ndarray:
-    """``v`` with each entry of magnitude below ``fpmin`` set to ``fpmin``, in place."""
-    np.putmask(v, np.abs(v) < fpmin, fpmin)
+def _lentz_update(aa: np.ndarray, d: np.ndarray, c: np.ndarray, dc: np.ndarray) -> None:
+    """One half-step of the modified Lentz scheme, in place: d becomes
+    1 / floor(1 + aa d) and c becomes floor(1 + aa / c); ``dc`` stacks d over c."""
+    np.multiply(aa, d, out=d)
+    np.divide(aa, c, out=c)
+    dc += 1.0
+    _floor(dc)
+    np.divide(1.0, d, out=d)
+
+
+def _floor(v: np.ndarray) -> np.ndarray:
+    """``v`` with each entry of magnitude below ``_FPMIN`` set to ``_FPMIN``, in
+    place.  A NaN entry fails the test, so a tiny entry beside it is floored."""
+    if not (np.abs(v) >= _FPMIN).all():
+        np.putmask(v, np.abs(v) < _FPMIN, _FPMIN)
     return v
 
 
@@ -178,22 +206,40 @@ def beta_cdf(x: float, params: BetaParams) -> float:
     """
     if x < 0.0 or x > 1.0:
         raise ValueError(f"beta_cdf requires x in [0, 1], got {x}")
-    return _cdf([x], params.a, params.b, _ln_beta(params.a, params.b))[0]
+    xs = np.array([x], dtype=float)
+    return _cdf(xs, *_logs(xs), params.a, params.b, _ln_beta(params.a, params.b))[0]
 
 
-def _cdf(xs: list[float], a: float, b: float, ln_b: float) -> list[float]:
-    """``beta_cdf`` at each x of ``xs`` in [0, 1] with ln B(a, b) given: one
-    continued-fraction pass per branch, the prefactor from ``math`` per point."""
-    split = (a + 1.0) / (a + b + 2.0)
-    out = [0.0 if x == 0.0 else 1.0 for x in xs]
-    for lower in (True, False):
-        idx = [i for i, x in enumerate(xs) if 0.0 < x < 1.0 and (x < split) == lower]
-        x = np.array([xs[i] for i in idx], dtype=float)
-        cf = _beta_contfrac(a, b, x) if lower else _beta_contfrac(b, a, 1.0 - x)
-        for i, f in zip(idx, cf.tolist()):
-            front = math.exp(a * math.log(xs[i]) + b * math.log1p(-xs[i]) - ln_b)
-            out[i] = front * f / a if lower else 1.0 - front * f / b
-    return out
+def _cdf(
+    xs: np.ndarray, ln_x: np.ndarray, ln_1mx: np.ndarray, a: float, b: float, ln_b: float
+) -> list[float]:
+    """``beta_cdf`` at each x of ``xs`` in [0, 1], with ln x, ln(1 - x) (read
+    at interior points only) and ln B(a, b) given: one continued-fraction
+    pass over the interior points of both branches, the prefactor's
+    ``exp`` from ``math`` per point."""
+    inner = (0.0 < xs) & (xs < 1.0)
+    below = xs < (a + 1.0) / (a + b + 2.0)
+    lower, upper = np.flatnonzero(inner & below), np.flatnonzero(inner & ~below)
+    sizes = (lower.size, upper.size)
+    cf = _beta_contfrac(
+        np.repeat([a, b], sizes),
+        np.repeat([b, a], sizes),
+        np.concatenate([xs[lower], 1.0 - xs[upper]]),
+    )
+    idx = np.concatenate([lower, upper])
+    ln_front = a * ln_x[idx] + b * ln_1mx[idx] - ln_b
+    cf *= _each(math.exp, ln_front)  # front * cf
+    cf[: sizes[0]] /= a
+    cf[sizes[0] :] = 1.0 - cf[sizes[0] :] / b
+    out = np.where(xs == 0.0, 0.0, 1.0)
+    out[idx] = cf
+    return out.tolist()
+
+
+def _logs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln x and ln(1 - x) at each x of ``xs``, by ``math``; nan outside (0, 1)."""
+    inner = np.where((0.0 < xs) & (xs < 1.0), xs, math.nan)
+    return _each(math.log, inner), _each(math.log1p, -inner)
 
 
 def beta_skewness(params: BetaParams) -> float:
@@ -311,23 +357,37 @@ def _stirling_tail(y: float) -> float:
     return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * y2)) / y2) / y2) / y
 
 
-def _lgamma_diff(x: float, c: float) -> float:
-    """ln Gamma(x) - ln Gamma(x + c) without large-term cancellation.
+def _lgamma_diff(x, c: float):
+    """ln Gamma(x) - ln Gamma(x + c) without large-term cancellation, at a
+    float x or at each entry of a float array x (each entry gets the float's
+    bits).
 
     For large x the two log-gammas grow like x ln x while their difference
     stays O(c ln x); subtracting direct lgamma values then loses ~x ln x * eps
     of absolute accuracy, which breaks pmf ratio identities at the 1e-12
     level.  The Stirling form keeps every term at the size of the result.
     """
-    if x < 20.0:
-        return math.lgamma(x) - math.lgamma(x + c)
-    return (
-        -(x - 0.5) * math.log1p(c / x)
-        - c * math.log(x + c)
-        + c
-        + _stirling_tail(x)
-        - _stirling_tail(x + c)
-    )
+    if not isinstance(x, np.ndarray):
+        if x < 20.0:
+            return math.lgamma(x) - math.lgamma(x + c)
+        return _stirling_diff(x, c, math.log1p(c / x), math.log(x + c))
+    out = np.empty_like(x)
+    small = x < 20.0
+    out[small] = [math.lgamma(v) - math.lgamma(v + c) for v in x[small].tolist()]
+    big = x[~small]
+    out[~small] = _stirling_diff(big, c, _each(math.log1p, c / big), _each(math.log, big + c))
+    return out
+
+
+def _stirling_diff(x, c: float, log1p_c_x, log_x_c):
+    """The Stirling form of ``_lgamma_diff`` at x >= 20, given ln(1 + c/x)
+    and ln(x + c)."""
+    return -(x - 0.5) * log1p_c_x - c * log_x_c + c + _stirling_tail(x) - _stirling_tail(x + c)
+
+
+def _each(f, v: np.ndarray) -> np.ndarray:
+    """``math`` function ``f`` at each entry of ``v``."""
+    return np.fromiter(map(f, v.tolist()), float, v.size)
 
 
 def _ln_beta(a: float, b: float) -> float:
@@ -361,10 +421,15 @@ def urn_limit_pmf(k: int, k0: int, a: float, b: float) -> float:
 
 def urn_limit_pmfs(ks, k0: int, a: float, b: float) -> list[float]:
     """``urn_limit_pmf`` at each integer k of ``ks``, bit for bit, with the
-    arguments checked and the k-free terms computed once."""
+    arguments checked, the k-free terms computed once and the Stirling
+    arithmetic on arrays."""
     k0 = _urn_k0(k0, a, b)
-    norm = _urn_norm(k0, a, b - 1.0)
-    return [_urn_law(k, a, b, *norm) if k >= k0 else 0.0 for k in map(operator.index, ks)]
+    ln_head, ln_b_ratio = _urn_norm(k0, a, b - 1.0)
+    ks = np.fromiter(map(operator.index, ks), float)
+    out = np.zeros(ks.size)
+    on = ks >= k0
+    out[on] = _each(math.exp, _lgamma_diff(ks[on] + a, b) - ln_head + ln_b_ratio)
+    return out.tolist()
 
 
 def _urn_k0(k0: int, a: float, b: float) -> int:
@@ -393,20 +458,38 @@ def _urn_law(k: int, a: float, b: float, ln_head: float, ln_b_ratio: float) -> f
     return math.exp(_lgamma_diff(k + a, b) - ln_head + ln_b_ratio)
 
 
-def cdf_curve(params: BetaParams, n_points: int = 512) -> list[tuple[float, float]]:
-    """Sample the CDF at n_points uniform x values on [0, 1]."""
+@functools.lru_cache(maxsize=4, typed=True)
+def _grid(n_points: int) -> tuple:
+    """The x values of an n_points curve, their ``repr`` texts, ln x and
+    ln(1 - x), made once per process and size; the arrays are read-only."""
     if n_points < 2:
         raise ValueError("cdf_curve needs at least 2 points")
     step = 1.0 / (n_points - 1)
-    xs = [i * step for i in range(n_points - 1)] + [1.0]
-    return list(zip(xs, _cdf(xs, params.a, params.b, _ln_beta(params.a, params.b))))
+    xs = np.array([i * step for i in range(n_points - 1)] + [1.0])
+    arrays = (xs, *_logs(xs))
+    for v in arrays:
+        v.flags.writeable = False
+    return arrays[0], tuple(map(repr, xs.tolist())), *arrays[1:]
+
+
+def _curve(params: BetaParams, n_points: int) -> tuple[np.ndarray, tuple, list[float]]:
+    """The grid's x values, their texts and the CDF at each."""
+    xs, texts, ln_x, ln_1mx = _grid(n_points)
+    a, b = params.a, params.b
+    return xs, texts, _cdf(xs, ln_x, ln_1mx, a, b, _ln_beta(a, b))
+
+
+def cdf_curve(params: BetaParams, n_points: int = 512) -> list[tuple[float, float]]:
+    """Sample the CDF at n_points uniform x values on [0, 1]."""
+    xs, _, cdf = _curve(params, n_points)
+    return list(zip(xs.tolist(), cdf))
 
 
 def cdf_curve_csv(params: BetaParams, n_points: int = 512) -> str:
     """CDF curve as CSV text with the shape parameters in a metadata header."""
+    _, texts, cdf = _curve(params, n_points)
     lines = [f"# a={params.a!r}", f"# b={params.b!r}", "x,cdf"]
-    for x, c in cdf_curve(params, n_points):
-        lines.append(f"{x!r},{c!r}")
+    lines += [f"{x},{c!r}" for x, c in zip(texts, cdf)]
     return "\n".join(lines) + "\n"
 
 

@@ -2,12 +2,14 @@ import ast
 import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
 import skbeta
+from skbeta import betadist
 from skbeta.betadist import (
     BetaCalibration,
     BetaParams,
@@ -28,6 +30,7 @@ from skbeta.betadist import (
 )
 from skbeta.errors import (
     InfeasibleMomentPairError,
+    InternalCheckError,
     NonNormalizableError,
     NotBetaRepresentableError,
 )
@@ -69,12 +72,12 @@ def limit_pmf_tail_mass(n: int, k0: int, a: float, b: float) -> float:
     )
 
 
-def reference_contfrac(a: float, b: float, x: float) -> float:
+def reference_contfrac(a: float, b: float, x: float, fpmin: float = 1e-300) -> float:
     """The incomplete-Beta continued fraction at one point: the modified
-    Lentz loop that ``betadist._beta_contfrac`` runs on arrays of points."""
+    Lentz loop that ``betadist._beta_contfrac`` runs on arrays of points,
+    with ``fpmin`` its floor on |d| and |c| (``betadist._FPMIN``)."""
     max_iter = 10_000  # the cap of betadist._beta_contfrac
     eps = 1e-16
-    fpmin = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -110,7 +113,7 @@ def reference_contfrac(a: float, b: float, x: float) -> float:
     raise AssertionError(f"no convergence for a={a}, b={b}, x={x}")
 
 
-def reference_cdf(x: float, a: float, b: float) -> float:
+def reference_cdf(x: float, a: float, b: float, fpmin: float = 1e-300) -> float:
     """I_x(a, b) one point at a time, on the branch ``beta_cdf`` takes."""
     if x == 0.0:
         return 0.0
@@ -118,8 +121,8 @@ def reference_cdf(x: float, a: float, b: float) -> float:
         return 1.0
     front = math.exp(a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * reference_contfrac(a, b, x) / a
-    return 1.0 - front * reference_contfrac(b, a, 1.0 - x) / b
+        return front * reference_contfrac(a, b, x, fpmin) / a
+    return 1.0 - front * reference_contfrac(b, a, 1.0 - x, fpmin) / b
 
 
 class TestLnGamma:
@@ -519,6 +522,60 @@ def test_cdf_curve_replays_reference(n_points):
         for b in CDF_SHAPES:
             curve = cdf_curve(BetaParams(a, b), n_points)
             assert curve == [(x, reference_cdf(x, a, b)) for x, _ in curve], (a, b)
+
+
+@pytest.mark.parametrize("n_points", [3, 17, 512])
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_cdf_curve_replays_reference_across_block_seams(monkeypatch, block, n_points):
+    # points converge after 1 to 104 steps at these shapes; blocks of 1, 3
+    # and 7 steps move the seams between blocks against those step counts
+    monkeypatch.setattr(betadist, "_CF_BLOCK", block)
+    test_cdf_curve_replays_reference(n_points)
+
+
+# a third of these curves' points take a floor of d or c at fpmin = 0.5, and
+# all of them converge; at the default 1e-300 no curve in these tests takes one
+FLOOR_SHAPES = ((0.1, 5.0), (0.5, 2.0), (2.0, 2.0), (5.0, 1.0), (10.0, 0.5), (100.0, 10.0))
+
+
+@pytest.mark.parametrize("block", [3, 16])
+def test_cdf_curve_replays_reference_floors(monkeypatch, block):
+    monkeypatch.setattr(betadist, "_CF_BLOCK", block)
+    monkeypatch.setattr(betadist, "_FPMIN", 0.5)
+    for a, b in FLOOR_SHAPES:
+        curve = cdf_curve(BetaParams(a, b))
+        assert curve == [(x, reference_cdf(x, a, b, fpmin=0.5)) for x, _ in curve], (a, b)
+        assert any(y != reference_cdf(x, a, b) for x, y in curve), (a, b)
+
+
+def test_floor_is_nan_aware():
+    # a NaN entry must not hide a tiny one from the floor test
+    v = np.array([np.nan, 1e-310, -1e-301, 2.0])
+    betadist._floor(v)
+    assert math.isnan(v[0])
+    assert v[1:].tolist() == [1e-300, 1e-300, 2.0]
+
+
+@pytest.mark.parametrize("block", [7, 16])
+def test_cdf_curve_names_first_point_past_the_cap(monkeypatch, block):
+    # no point near the mode converges within the cap at a = 1e10; 10000
+    # steps are 1428 blocks of 7 and a last one of 4
+    monkeypatch.setattr(betadist, "_CF_BLOCK", block)
+    a = 1e10
+    b = 256.0 * a / 255.0
+    split = (a + 1.0) / (a + b + 2.0)
+    for x, _ in cdf_curve(BetaParams(1.0, 1.0))[1:-1]:
+        args = (a, b, x) if x < split else (b, a, 1.0 - x)
+        try:
+            reference_contfrac(*args)
+        except AssertionError:
+            break
+    with pytest.raises(InternalCheckError) as ei:
+        cdf_curve(BetaParams(a, b))
+    assert str(ei.value) == (
+        "incomplete-beta continued fraction failed to converge for "
+        f"a={args[0]}, b={args[1]}, x={args[2]}"
+    )
 
 
 @pytest.mark.parametrize("a", [1e4, 1e5, 2.55e5, 1e6])

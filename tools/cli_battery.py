@@ -51,6 +51,7 @@ CALLS = {
     "rank_fit_ati": ["rank-fit", "--input", FIXTURE, "--value-column", "ati_eur"],
     "rank_fit_population": ["rank-fit", "--input", FIXTURE, "--value-column", "population"],
     "beta_calibrate": ["beta-calibrate", "--skew", "0.5656854249492381", "--kurt", "2.4"],
+    "beta_calibrate_sub_unit": ["beta-calibrate", "--skew", "0.3", "--kurt", "1.7"],
     "beta_calibrate_near_normal": [
         "beta-calibrate", "--skew", "1.0950354976675177e-05", "--kurt", "2.9999882585658235",
     ],

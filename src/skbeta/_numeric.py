@@ -96,9 +96,12 @@ def std_errors(jac: np.ndarray, sse: float) -> np.ndarray:
     """sqrt(sigma^2 diag((J^T J)^+)), sigma^2 = sse / (m - k) or 0 if m <= k.
 
     diag((J^T J)^+) is the row sums of squares of pinv(J): finite for a
-    singular J too.
+    singular J too.  A J with a non-finite entry gives NaN for every error
+    and never reaches ``pinv``, whose SVD hangs on an inf and raises on a NaN.
     """
     m, k = jac.shape
+    if not np.isfinite(jac).all():
+        return np.full(k, np.nan)
     sigma2 = sse / (m - k) if m > k else 0.0
     pinv = np.linalg.pinv(jac)
     return np.sqrt(sigma2 * (pinv * pinv).sum(axis=1))

@@ -180,17 +180,18 @@ def _beta_contfrac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _lentz_update(aa: np.ndarray, d: np.ndarray, c: np.ndarray, dc: np.ndarray) -> None:
     """One half-step of the modified Lentz scheme, in place: d becomes
     1 / floor(1 + aa d) and c becomes floor(1 + aa / c); ``dc`` stacks d over c."""
-    np.multiply(aa, d, out=d)
-    np.divide(aa, c, out=c)
+    np.multiply(aa, d, d)
+    np.divide(aa, c, c)
     dc += 1.0
     _floor(dc)
-    np.divide(1.0, d, out=d)
+    np.divide(1.0, d, d)
 
 
 def _floor(v: np.ndarray) -> np.ndarray:
     """``v`` with each entry of magnitude below ``_FPMIN`` set to ``_FPMIN``, in
-    place.  A NaN entry fails the test, so a tiny entry beside it is floored."""
-    if not (np.abs(v) >= _FPMIN).all():
+    place.  The smallest magnitude is tested in one reduction, which a NaN
+    entry makes NaN, so a tiny entry beside a NaN is floored."""
+    if not np.minimum.reduce(np.abs(v), axis=None, initial=np.inf) >= _FPMIN:
         np.putmask(v, np.abs(v) < _FPMIN, _FPMIN)
     return v
 

@@ -9,21 +9,22 @@ included, is read by ``_read_rows``; numbers in them must be finite.
 ``parse_city_csv`` first tries a columnar fast path on plain files and
 falls back to ``_read_rows`` for anything else.  A plain file of at least
 two ``_FORK_MIN_CHARS`` of body is parsed in up to ``_MAX_PARTS`` parts at
-once, one per usable CPU, in ``os.fork`` children; the dataset has the same
-bytes as a parse in one part.
+once, one per usable CPU, in ``os.fork`` children started by the package's
+one fork helper, ``_fork.in_parts``; the dataset has the same bytes as a
+parse in one part.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
 
+from ._fork import in_parts, usable_cpus
 from .errors import EmptyInputError, IntegrityError, ParseError, SchemaError
 from .moments import GroupedDataset, SKPoint
 
@@ -181,9 +182,10 @@ def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset
     first), a nonblank first line as the header, every later line with
     exactly the header's number of cells, province cells nonempty and
     already stripped, and values that ``float`` reads as finite and
-    nonnegative.  The body is cut at line breaks into ``_part_count`` parts,
-    all but the first parsed in forked children (see ``_in_parts``); each
-    part fills its own slice of the arrays, 64K characters at a time.
+    nonnegative.  The body is cut at line breaks into one part per usable
+    CPU (up to ``_MAX_PARTS``, each of at least ``_FORK_MIN_CHARS``), all but
+    the first parsed in forked children by ``_fork.in_parts``; each part
+    fills its own slice of the arrays, 64K characters at a time.
     """
     stop = len(text)  # trailing blank lines are skipped, as ``_read_rows`` does
     while stop and text[stop - 1] == "\n":
@@ -201,7 +203,7 @@ def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset
     except SchemaError:
         return None
     layout = delim, len(header), columns["province"], columns["value"]
-    n_parts = _part_count(stop - pos)
+    n_parts = max(1, min(usable_cpus(), _MAX_PARTS, (stop - pos) // _FORK_MIN_CHARS))
     cuts = [pos]
     for i in range(1, n_parts):
         cut = text.find("\n", pos + (stop - pos) * i // n_parts, stop) + 1
@@ -215,8 +217,10 @@ def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset
     group = np.empty(rows[-1], np.int64)
     values = np.empty(rows[-1])
     slices = [(group[lo:hi], values[lo:hi]) for lo, hi in zip(rows, rows[1:])]
-    keys = _in_parts(lambda i: _runs(text, cuts[i], cuts[i + 1], layout, *slices[i]), slices)
-    if keys is None:
+    keys = in_parts(
+        lambda i: _runs(text, cuts[i], cuts[i + 1], layout, *slices[i]), len(slices), arrays=slices
+    )
+    if None in keys:  # a part is not plain
         return None
     codes: dict[str, int] = {}
     for (part, _), part_keys in zip(slices, keys):  # part codes -> first-appearance codes
@@ -229,15 +233,6 @@ def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset
         values = values[np.argsort(group, kind="stable")]
     counts = np.bincount(group, minlength=len(codes))
     return GroupedDataset(keys=tuple(codes), counts=counts, values=values, value_label=label)
-
-
-def _part_count(chars: int) -> int:
-    """Parts to parse ``chars`` body characters in: one per usable CPU, up to
-    ``_MAX_PARTS``, with at least ``_FORK_MIN_CHARS`` each; 1 without ``fork``."""
-    if not hasattr(os, "fork"):
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, _MAX_PARTS, chars // _FORK_MIN_CHARS))
 
 
 def _runs(text: str, start: int, end: int, layout, group, values) -> list[str] | None:
@@ -271,100 +266,6 @@ def _runs(text: str, start: int, end: int, layout, group, values) -> list[str] |
             return None
         row += n
     return list(codes)
-
-
-def _in_parts(parse, slices) -> list[list[str]] | None:
-    """``parse(i)`` for every part i, whose arrays are ``slices[i]``.
-
-    Parts after the first are parsed in forked children at the same time
-    as the parent parses the first; each child sends its keys and the bytes
-    of its arrays down a pipe, straight into the parent's slices.  A part
-    whose child cannot be started, dies or sends short data is parsed by
-    the parent.  Every child is reaped before this returns.  Returns the
-    keys of each part, or None where a part is not plain.  A child runs
-    only ``parse``, string and element-wise numpy work that takes no lock
-    a parent thread (a BLAS pool) could hold at the fork.
-    """
-    children: dict[int, tuple[int, int]] = {}
-    try:
-        for i in range(1, len(slices)):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the parent parses the rest
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                _child(parse, i, w, slices[i], [r, *(fd for _, fd in children.values())])
-            os.close(w)
-            children[i] = pid, r
-        keys = []
-        for i, arrays in enumerate(slices):
-            got = _receive(children[i][1], arrays) if i in children else False
-            if got is False:  # no child, or it died or sent short data
-                got = parse(i)
-            if got is None:
-                return None
-            keys.append(got)
-        return keys
-    finally:
-        for _, fd in children.values():  # first, so that a writing child sees EPIPE
-            os.close(fd)
-        for pid, _ in children.values():
-            try:
-                os.waitpid(pid, 0)
-            except ChildProcessError:
-                pass
-
-
-def _child(parse, i: int, fd: int, arrays, inherited: list[int]):
-    """In a forked child: send ``parse(i)``'s keys and then ``arrays`` down
-    ``fd`` (a length of -1 and nothing more where the part is not plain),
-    and exit.  Never returns into the caller's frames."""
-    status = 1
-    try:
-        for other in inherited:
-            os.close(other)
-        keys = parse(i)
-        if keys is None:
-            buffers = [(-1).to_bytes(8, "little", signed=True)]
-        else:
-            blob = "\n".join(keys).encode()
-            buffers = [len(blob).to_bytes(8, "little", signed=True), blob, *arrays]
-        for buf in buffers:
-            view = memoryview(buf).cast("B")
-            while view:
-                view = view[os.write(fd, view) :]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(fd: int, arrays) -> list[str] | None | bool:
-    """The keys a child sent down ``fd``, with ``arrays`` read in place;
-    None where its part is not plain, False where the data ran short."""
-    head = bytearray(8)
-    if not _fill(fd, head):
-        return False
-    size = int.from_bytes(head, "little", signed=True)
-    if size < 0:
-        return None
-    blob = bytearray(size)
-    if not (_fill(fd, blob) and all(_fill(fd, array) for array in arrays)):
-        return False
-    return blob.decode().split("\n")
-
-
-def _fill(fd: int, buf) -> bool:
-    """Read ``fd`` into all of ``buf``; False at an early end of file."""
-    view = memoryview(buf).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
 
 
 def _cells_per_line(chunk: str, delim: str, width: int) -> bool:

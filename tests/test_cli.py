@@ -1,15 +1,17 @@
+import contextlib
 import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import skbeta
-from skbeta import betadist, ksfit, moments, urnsim
+from skbeta import betadist, cli, ksfit, moments, ranksize, urnsim
 from skbeta.cli import main
 from skbeta.errors import InternalCheckError, SkbetaError
 from skbeta.ingest import GroupedDataset, bundled_fixture_path, write_grouped_csv
@@ -840,3 +842,170 @@ def test_second_call_in_a_process_matches_a_lone_run(tmp_path):
     assert done.returncode == rc
     assert _tree(second) == _tree(lone)
     assert "sk_points.csv" in _tree(second)
+
+
+@contextlib.contextmanager
+def section_fork(cpus=2, min_points=16):
+    """Run ``pipeline``'s rank-size and Beta chain in a forked child from
+    ``min_points`` S/K points, with ``cpus`` usable CPUs.  Yields a spy on
+    ``os.fork``."""
+    with mock.patch.object(cli, "_FORK_MIN_POINTS", min_points), mock.patch.object(
+        os, "sched_getaffinity", lambda pid: set(range(cpus))
+    ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        yield fork
+
+
+def _no_fork(error=AssertionError("forked")):
+    return mock.patch.object(os, "fork", side_effect=error)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSectionFork:
+    """Large pipeline calls run the rank-size and Beta sections in a forked
+    child; every out-dir, exit code and stderr is the serial path's."""
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        path = tmp_path / "m.csv"
+        dataset = synthetic_grouped_dataset(n_groups=24, seed=2, min_size=8, max_size=20)
+        write_grouped_csv(dataset, path)
+        return path
+
+    @pytest.fixture
+    def skewed(self, tmp_path):
+        """Four of 24 groups have S < 0: fit_power, rank_s and beta_rank_s skip."""
+        rng = np.random.default_rng(4)
+        groups = {f"G{i:02d}": rng.lognormal(10.0, 1.0, 12) for i in range(20)}
+        groups.update({f"N{i}": 1e6 - rng.lognormal(10.0, 1.0, 12) for i in range(4)})
+        path = tmp_path / "skewed.csv"
+        write_grouped_csv(GroupedDataset(groups, "value"), path)
+        return path
+
+    @staticmethod
+    def both(tmp_path, capsys, src, *flags):
+        """(exit code, stderr, files) of the serial and the forked run."""
+        runs = []
+        for forked in (False, True):
+            out = tmp_path / ("forked" if forked else "serial")
+            argv = ["pipeline", "--input", str(src), "--out-dir", str(out), *flags]
+            if forked:
+                with section_fork() as fork:
+                    rc = run_cli(*argv)
+                assert fork.call_count == 1
+            else:
+                with _no_fork():
+                    rc = run_cli(*argv)
+            runs.append((rc, capsys.readouterr().err, _tree(out) if out.exists() else {}))
+        _no_child_left()
+        return runs
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("simulate", [[], ["--simulate"]])
+    def test_forked_out_dir_is_the_serial_one(self, tmp_path, capsys, src, fmt, simulate):
+        serial, forked = self.both(tmp_path, capsys, src, "--format", fmt, *simulate)
+        assert serial == forked
+        assert serial[0] == 0 and "beta_rank_k_cdf.csv" in serial[2]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_skipped_section_exit_3(self, tmp_path, capsys, skewed, fmt):
+        serial, forked = self.both(tmp_path, capsys, skewed, "--format", fmt)
+        assert serial == forked
+        assert serial[0] == 3
+        manifest = serial[2]["manifest.txt"].decode()
+        assert "  rank_s: skipped: rank fit requires positive values" in manifest
+        assert "  beta_rank_s: skipped: lav4 fit unavailable\n" in manifest
+
+    def test_internal_check_error_in_the_child_chain_exits_5(
+        self, tmp_path, capsys, monkeypatch, src
+    ):
+        def fail(params, n_points=512):
+            raise InternalCheckError("continued fraction did not converge")
+
+        monkeypatch.setattr(betadist, "cdf_curve_csv", fail)
+        serial, forked = self.both(tmp_path, capsys, src)
+        assert serial == forked
+        rc, err, files = serial
+        assert (rc, err) == (5, "internal error: continued fraction did not converge\n")
+        assert {"fit_power.txt", "rank_s.txt", "rank_k_series.csv"} <= set(files)
+        assert "beta_moments_s.txt" not in files and "manifest.txt" not in files
+
+    @pytest.mark.parametrize("failure", ["raise", "exit", "short"])
+    def test_failed_child_chain_is_run_by_the_parent(
+        self, tmp_path, capsys, monkeypatch, src, failure
+    ):
+        parent, fit, write_fd = os.getpid(), ranksize.fit_rank_model, os.write
+
+        def fit_in_child(*args):
+            if os.getpid() != parent and failure == "raise":
+                raise RuntimeError("child failed")
+            if os.getpid() != parent and failure == "exit":
+                os._exit(3)
+            return fit(*args)
+
+        def short_write(fd, data):
+            if os.getpid() != parent and len(data) > 8:  # half the result, then exit 0
+                write_fd(fd, data[: len(data) // 2])
+                os._exit(0)
+            return write_fd(fd, data)
+
+        monkeypatch.setattr(ranksize, "fit_rank_model", fit_in_child)
+        if failure == "short":
+            monkeypatch.setattr(os, "write", short_write)
+        serial, forked = self.both(tmp_path, capsys, src)
+        assert serial == forked and serial[0] == 0
+
+    def test_failed_fork_runs_the_chain_in_the_parent(self, tmp_path, capsys, src):
+        out = tmp_path / "serial"
+        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 0
+        failed = tmp_path / "failed"
+        with section_fork(), _no_fork(BlockingIOError(11, "EAGAIN")):
+            assert run_cli("pipeline", "--input", str(src), "--out-dir", str(failed)) == 0
+        assert _tree(failed) == _tree(out)
+        assert capsys.readouterr().err == ""
+
+    def test_one_usable_cpu_never_forks(self, tmp_path, src):
+        out, one = tmp_path / "serial", tmp_path / "one"
+        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 0
+        with section_fork(cpus=1), _no_fork():
+            assert run_cli("pipeline", "--input", str(src), "--out-dir", str(one)) == 0
+        assert _tree(one) == _tree(out)
+
+    def test_below_the_point_floor_never_forks(self, tmp_path, src):
+        with section_fork(min_points=25), _no_fork():
+            assert run_cli("pipeline", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 0
+
+    def test_no_child_is_left_unreaped(self, tmp_path, src):
+        with section_fork() as fork:
+            assert run_cli("pipeline", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 0
+        assert fork.call_count == 1
+        _no_child_left()
+
+    def test_forked_lapack_with_two_blas_threads_returns(self, tmp_path, src):
+        serial = tmp_path / "serial"
+        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(serial)) == 0
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from skbeta import cli\n"
+            "x = np.random.default_rng(0).normal(size=(400, 400))\n"
+            "np.linalg.pinv(x @ x)  # the BLAS threads are up before the fork\n"
+            "cli._FORK_MIN_POINTS = 16\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "real_fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "sys.exit(rc if forks == [1] else 9)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(skbeta.__file__).parents[1]))
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        forked = tmp_path / "forked"
+        argv = ["pipeline", "--input", str(src), "--out-dir", str(forked)]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert _tree(forked) == _tree(serial)

@@ -73,6 +73,18 @@ class TestStdErrors:
     def test_no_degrees_of_freedom_gives_zero(self):
         assert np.array_equal(std_errors(np.eye(2), 1.0), [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [[np.inf], [np.nan], [np.inf, np.nan]])
+    def test_non_finite_entry_gives_nan_without_pinv(self, monkeypatch, bad):
+        # pinv's SVD does not return on an inf entry and raises on a NaN one
+        def pinv(_):
+            raise AssertionError("pinv called")
+
+        monkeypatch.setattr(np.linalg, "pinv", pinv)
+        jac = np.random.default_rng(17).normal(size=(20, 3))
+        jac[[7, 12][: len(bad)], [1, 2][: len(bad)]] = bad
+        ses = std_errors(jac, 1.0)
+        assert ses.shape == (3,) and np.isnan(ses).all()
+
 
 class TestUnitScale:
     @pytest.mark.parametrize("factor", [2.0**-1000, 1e-300, 1.0, 3.0, 1e200, 2.0**1000])

@@ -174,6 +174,8 @@ class TestReplaysReference:
     @pytest.mark.parametrize("a_shift, alpha", [(0.0, 0.5), (-0.5, 0.1)])
     def test_many_full_chunks(self, a_shift, alpha):
         cfg = UrnConfig(k0=1, a_shift=a_shift, alpha=alpha, steps=100_000, seed=5)
+        # a step draws 2 - alpha uniforms on average: the run needs 4 or more chunks
+        assert cfg.steps * (2 - alpha) > 4 * urnsim._CHUNK
         assert run(cfg).urn_sizes == reference_run(cfg)
 
 

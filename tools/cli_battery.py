@@ -11,7 +11,9 @@ its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
 The inputs are made first, under OUTDIR/inputs: a seeded microdata file,
 a seeded ~9 MB one with interleaved provinces (large enough that
 ``parse_city_csv`` parses it in forked parts on a host with 2 or more
-usable CPUs), the all-equal tiny file, the bundled province table, the S/K points of
+usable CPUs), a seeded one with 2400 groups (enough S/K points that
+``pipeline`` runs its rank-size and Beta sections in a forked child on
+such a host), the all-equal tiny file, the bundled province table, the S/K points of
 ``pipeline --synthetic --seed 0`` and the same points with K scaled by
 1e-300 and 1e200.  Two checkouts' batteries compare with ``diff -r``.
 Standard library only.
@@ -35,6 +37,7 @@ CALLS = {
     "pipeline_fixture": ["pipeline", "--input", FIXTURE, "--value-column", "ati_eur"],
     "pipeline_micro": ["pipeline", "--input", "inputs/micro.csv"],
     "pipeline_large": ["pipeline", "--input", "inputs/large.csv"],
+    "pipeline_many_groups": ["pipeline", "--input", "inputs/many_groups.csv"],
     "pipeline_tiny": ["pipeline", "--input", "inputs/tiny.csv"],
     "stats_micro": ["stats", "--input", "inputs/micro.csv"],
     "stats_tiny": ["stats", "--input", "inputs/tiny.csv"],
@@ -95,6 +98,14 @@ def make_inputs(root: Path, src: Path) -> None:
         for i in range(320_000)
     ]
     (inputs / "large.csv").write_text("province,city,value\n" + "".join(rows))
+    # 2400 groups of 30-60 values: above the S/K point count from which
+    # ``pipeline`` runs its rank-size and Beta sections in a forked child
+    rng = random.Random(2)
+    rows = [
+        f"M{g:04d},c{i},{rng.lognormvariate(10.0, 1.2)!r}\n"
+        for g in range(2400) for i in range(rng.randrange(30, 61))
+    ]
+    (inputs / "many_groups.csv").write_text("province,city,value\n" + "".join(rows))
     done = cli(root, src, ["pipeline", "--synthetic", "--seed", "0", "--out-dir", "inputs/synthetic"])
     if done.returncode != 0:
         raise SystemExit(f"making {POINTS} failed:\n{done.stderr}")

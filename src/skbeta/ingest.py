@@ -6,18 +6,21 @@ finite and nonnegative.  Province fixture schema:
 ``province,ati_eur,population,n_cities`` with ATI in absolute EUR.  Every
 delimited file, the ``group,s,k[,n]`` point files and single value columns
 included, is read by ``_read_rows``; numbers in them must be finite.
-``parse_city_csv`` first tries a columnar fast path on plain files and
-falls back to ``_read_rows`` for anything else.  A plain file of at least
-two ``_FORK_MIN_CHARS`` of body is parsed in up to ``_MAX_PARTS`` parts at
-once, one per usable CPU, in ``os.fork`` children started by the package's
-one fork helper, ``_fork.in_parts``; the dataset has the same bytes as a
-parse in one part.
+``parse_city_csv`` first tries a columnar fast path on plain regular files
+and falls back to ``_read_rows`` for anything else.  The fast path reads
+the file ``_CHUNK_BYTES`` at a time and holds the two output arrays and one
+chunk per part, never the file's bytes or text whole.  A plain file of at
+least two ``_FORK_MIN_BYTES`` of body is parsed in up to ``_MAX_PARTS``
+parts at once, one per usable CPU, in ``os.fork`` children started by the
+package's one fork helper, ``_fork.in_parts``; the dataset has the same
+bytes as a parse in one part.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -88,15 +91,12 @@ def read_text(path) -> str:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
 
 
-def _read_rows(
-    path, text: str | None = None
-) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+def _read_rows(path) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The stripped header, and an iterator over ``(line number, cells)`` of
     the later rows, parsed as they are consumed.  All-blank rows are skipped;
-    line numbers count every physical line, blank ones included.  ``text``
-    is the file's text where the caller has read it already.
+    line numbers count every physical line, blank ones included.
     """
-    lines = (read_text(path) if text is None else text).splitlines()
+    lines = read_text(path).splitlines()
     reader = csv.reader(lines, delimiter=_detect_delimiter(lines[0] if lines else ""))
     rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
     first = next(rows, None)
@@ -154,71 +154,89 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
     The ``city`` role is informative only and may be left unmapped, in
     which case city names are synthesized from the line number.
 
-    A plain file is read column-wise (see ``_columnar``); any other text,
-    and any text that fails a check there, goes through ``_parse_rows``,
-    which gives the same dataset or a line-numbered error.
+    A plain file is read column-wise, chunk by chunk (see ``_columnar``);
+    any other file, and any file that fails a check there, goes through
+    ``_parse_rows``, which gives the same dataset or a line-numbered error.
     """
-    text = read_text(path)
-    dataset = _columnar(text, column_map)
-    return dataset if dataset is not None else _parse_rows(path, text, column_map)
+    dataset = _columnar(path, column_map)
+    return dataset if dataset is not None else _parse_rows(path, column_map)
 
 
-# Characters that only ``_read_rows`` reads right: the quote, NUL (which
-# ``csv`` rejects before Python 3.11), and every line break of
-# ``str.splitlines`` but "\n" (``read_text`` has made "\r\n" and "\r" "\n").
-_NOT_PLAIN = ('"', "\0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# Characters that only ``_read_rows`` reads right, once each "\r\n" is "\n":
+# U+FFFD (which stands for bytes that are not UTF-8, where ``read_text``
+# raises), a CR (a line break there), the quote, NUL (which ``csv`` rejects
+# before Python 3.11), and every other line break of ``str.splitlines``.
+_NOT_PLAIN = (
+    "\ufffd", "\r", '"', "\0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
 # A chunk's copies stay in L2; 1 MB chunks parsed slower and peaked higher.
-_CHUNK_CHARS = 1 << 16
-# Body characters per forked part: starting a child costs ~8-17 ms, and a
-# ~4.3 MB body parsed no faster in two parts than in one (2-vCPU host).
-_FORK_MIN_CHARS = 4 << 20
+_CHUNK_BYTES = 1 << 16
+# Body bytes per forked part: starting a child costs ~8-17 ms, and a ~4.3 MB
+# body parsed no faster in two parts than in one (2-vCPU host).
+_FORK_MIN_BYTES = 4 << 20
 _MAX_PARTS = 4
 
 
-def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset | None:
-    """The dataset of a plain file, or None where ``_parse_rows`` must decide.
+def _columnar(path, column_map: Mapping[str, str] | None) -> GroupedDataset | None:
+    """The dataset of a plain regular file, or None where ``_parse_rows`` must decide.
 
-    Plain means: no character of ``_NOT_PLAIN`` (checked on the whole text
-    first), a nonblank first line as the header, every later line with
-    exactly the header's number of cells, province cells nonempty and
-    already stripped, and values that ``float`` reads as finite and
-    nonnegative.  The body is cut at line breaks into one part per usable
-    CPU (up to ``_MAX_PARTS``, each of at least ``_FORK_MIN_CHARS``), all but
-    the first parsed in forked children by ``_fork.in_parts``; each part
-    fills its own slice of the arrays, 64K characters at a time.
+    Plain means: UTF-8 with no character of ``_NOT_PLAIN`` once each "\\r\\n"
+    is "\\n", a nonblank first line as the header, every later line with
+    exactly the header's number of cells (blank lines at the end aside),
+    province cells nonempty and already stripped, and values that ``float``
+    reads as finite and nonnegative.  The body is cut at line breaks into
+    one part per usable CPU (up to ``_MAX_PARTS``, each of at least
+    ``_FORK_MIN_BYTES``) and each part's lines are counted through one
+    buffer; ``_fork.in_parts`` then runs ``_runs`` on the first part here and
+    on the others in forked children.  The file is never held whole.
     """
-    stop = len(text)  # trailing blank lines are skipped, as ``_read_rows`` does
-    while stop and text[stop - 1] == "\n":
-        stop -= 1
-    pos = text.find("\n") + 1
-    if not 0 < pos < stop or any(c in text for c in _NOT_PLAIN):
-        return None
-    head = text[: pos - 1]
-    delim = _detect_delimiter(head)
-    header = [h.strip() for h in head.split(delim)]
-    if not any(header):
-        return None
+    if not os.path.isfile(path):
+        return None  # a pipe can be read once only: the row reader reads it
     try:
-        columns, label = _city_columns(header, column_map)
-    except SchemaError:
+        fh = open(path, "rb")
+    except OSError:
         return None
+    with fh:
+        head = fh.readline().removeprefix(b"\xef\xbb\xbf")
+        pos, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        fh.seek(max(pos, size - _CHUNK_BYTES))
+        tail = fh.read()  # blank lines at the end are skipped, as ``_read_rows`` does
+        stop = size - len(tail) + len(tail.rstrip(b"\r\n"))
+        head = head.decode(errors="replace").removesuffix("\n").removesuffix("\r")
+        if stop <= pos or any(c in head for c in _NOT_PLAIN):
+            return None
+        delim = _detect_delimiter(head)
+        header = [h.strip() for h in head.split(delim)]
+        if not any(header):
+            return None
+        try:
+            columns, label = _city_columns(header, column_map)
+        except SchemaError:
+            return None
+        n_parts = max(1, min(usable_cpus(), _MAX_PARTS, (stop - pos) // _FORK_MIN_BYTES))
+        cuts = [pos]
+        for i in range(1, n_parts):
+            fh.seek(pos + (stop - pos) * i // n_parts)
+            cut = fh.tell() + len(fh.readline())
+            if cuts[-1] < cut < stop:
+                cuts.append(cut)
+        cuts.append(stop + 1)  # part i is bytes cuts[i] to cuts[i + 1] - 1, a line break
+        rows, buf = [0], np.empty(_CHUNK_BYTES, np.uint8)
+        for start, end in zip(cuts, cuts[1:]):
+            fh.seek(start)
+            lines = 1  # a file that shrank since leaves parts unfilled
+            while start < end - 1 and (got := fh.readinto(buf[: min(end - 1 - start, len(buf))])):
+                lines += int(np.count_nonzero(buf[:got] == ord("\n")))
+                start += got
+            rows.append(rows[-1] + lines)
     layout = delim, len(header), columns["province"], columns["value"]
-    n_parts = max(1, min(usable_cpus(), _MAX_PARTS, (stop - pos) // _FORK_MIN_CHARS))
-    cuts = [pos]
-    for i in range(1, n_parts):
-        cut = text.find("\n", pos + (stop - pos) * i // n_parts, stop) + 1
-        if cut > cuts[-1]:
-            cuts.append(cut)
-    cuts.append(stop)
-    rows = [0]
-    for start, end in zip(cuts, cuts[1:]):
-        rows.append(rows[-1] + text.count("\n", start, end))
-    rows[-1] += 1  # the last line has no line break left
     group = np.empty(rows[-1], np.int64)
     values = np.empty(rows[-1])
     slices = [(group[lo:hi], values[lo:hi]) for lo, hi in zip(rows, rows[1:])]
     keys = in_parts(
-        lambda i: _runs(text, cuts[i], cuts[i + 1], layout, *slices[i]), len(slices), arrays=slices
+        lambda i: _runs(path, cuts[i], cuts[i + 1] - 1, layout, *slices[i]),
+        len(slices),
+        arrays=slices,
     )
     if None in keys:  # a part is not plain
         return None
@@ -226,32 +244,30 @@ def _columnar(text: str, column_map: Mapping[str, str] | None) -> GroupedDataset
     for (part, _), part_keys in zip(slices, keys):  # part codes -> first-appearance codes
         remap = np.array([codes.setdefault(key, len(codes)) for key in part_keys])
         if not np.array_equal(remap, np.arange(len(remap))):
-            part[:] = remap[part]
-    if not ((values >= 0.0) & (values < np.inf)).all():  # nan fails it too
-        return None
+            np.take(remap, part, out=part, mode="clip")  # in place: "raise" would copy
     if (group[1:] < group[:-1]).any():
         values = values[np.argsort(group, kind="stable")]
     counts = np.bincount(group, minlength=len(codes))
     return GroupedDataset(keys=tuple(codes), counts=counts, values=values, value_label=label)
 
 
-def _runs(text: str, start: int, end: int, layout, group, values) -> list[str] | None:
-    """Parse the lines of ``text[start:end]`` into ``group`` and ``values``.
+def _runs(path, start: int, end: int, layout, group, values) -> list[str] | None:
+    """Parse the lines in bytes ``start`` to ``end`` of ``path`` into
+    ``group`` and ``values``, which they must fill exactly.
 
     ``group`` gets codes in the order of first appearance in this part.
-    Returns the keys in that order, or None where the text is not plain.
+    Returns the keys in that order, or None where the bytes are not plain.
     """
     delim, width, p, v = layout
     codes: dict[str, int] = {}
     row = 0
-    while start < end:
-        cut = text.find("\n", start + _CHUNK_CHARS, end)
-        cut = end if cut < 0 else cut + 1
-        chunk = text[start:cut].removesuffix("\n")
-        start = cut
-        if not _cells_per_line(chunk, delim, width):
+    for chunk in _chunks(path, start, end):
+        text = chunk.decode(errors="replace")
+        if "\r" in text:  # the last CR is one whose "\n" the cut left out
+            text = text.replace("\r\n", "\n").removesuffix("\r")
+        if any(c in text for c in _NOT_PLAIN) or not _cells_per_line(chunk, delim, width):
             return None
-        cells = chunk.replace("\n", delim).split(delim)
+        cells = text.replace("\n", delim).split(delim)
         provinces = cells[p::width]
         for key in dict.fromkeys(provinces):
             if key not in codes:
@@ -259,23 +275,38 @@ def _runs(text: str, start: int, end: int, layout, group, values) -> list[str] |
                     return None
                 codes[key] = len(codes)
         n = len(provinces)
-        group[row : row + n] = np.fromiter(map(codes.__getitem__, provinces), np.int64, n)
         try:
-            values[row : row + n] = np.fromiter(map(float, cells[v::width]), float, n)
-        except ValueError:
+            group[row : row + n] = np.fromiter(map(codes.__getitem__, provinces), np.int64, n)
+            values[row : row + n] = run = np.fromiter(map(float, cells[v::width]), float, n)
+        except ValueError:  # not a float, or more lines than were counted
+            return None
+        if not ((run >= 0.0) & (run < np.inf)).all():  # nan fails it too
             return None
         row += n
-    return list(codes)
+    return list(codes) if row == len(group) else None
 
 
-def _cells_per_line(chunk: str, delim: str, width: int) -> bool:
+def _chunks(path, start: int, end: int) -> Iterator[bytes]:
+    """Bytes ``start`` to ``end`` of ``path`` in runs of whole lines: a
+    ``_CHUNK_BYTES`` read and the rest of its last line, less the line break.
+    Stops early where the file does."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < end and (chunk := fh.read(min(_CHUNK_BYTES, end - start))):
+            if start + len(chunk) < end:
+                chunk += fh.readline()
+            start += len(chunk)
+            yield chunk.removesuffix(b"\n")
+
+
+def _cells_per_line(chunk: bytes, delim: str, width: int) -> bool:
     """Whether every line of ``chunk`` has exactly ``width`` cells.
 
     Holds when there are ``width - 1`` delimiters per line in all and, line
     by line, the first delimiter of each line follows the line break before
     it and the last one precedes the break after it.
     """
-    raw = np.frombuffer(chunk.encode(), np.uint8)
+    raw = np.frombuffer(chunk, np.uint8)
     breaks = np.flatnonzero(raw == ord("\n"))
     delims = np.flatnonzero(raw == ord(delim))
     k = width - 1
@@ -286,9 +317,9 @@ def _cells_per_line(chunk: str, delim: str, width: int) -> bool:
     )
 
 
-def _parse_rows(path, text: str, column_map: Mapping[str, str] | None) -> GroupedDataset:
+def _parse_rows(path, column_map: Mapping[str, str] | None) -> GroupedDataset:
     """``parse_city_csv`` row by row through ``_read_rows``."""
-    header, body = _read_rows(path, text)
+    header, body = _read_rows(path)
     indices, label = _city_columns(header, column_map)
     groups: dict[str, list[float]] = {}
     needed = max(indices.values())

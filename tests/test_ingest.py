@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import math
 import os
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -102,6 +104,26 @@ class TestParseCityCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             parse_city_csv(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("name", ["absent.csv", "."])
+    def test_missing_file_or_directory_is_read_texts_error(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ParseError) as expected:
+            read_text(path)
+        with pytest.raises(ParseError) as got:
+            parse_city_csv(path)
+        assert str(got.value) == str(expected.value)
+
+    def test_fifo_gives_the_regular_files_dataset(self, tmp_path):
+        text = "province,city,value\n" + "".join(f"Zé,c{i},{i}\nA,c{i},0.5\n" for i in range(500))
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+        feeder.start()
+        try:
+            assert parse_city_csv(fifo) == parse_city_csv(write(tmp_path, "m.csv", text))
+        finally:
+            feeder.join(10)
 
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -337,9 +359,7 @@ class TestColumnarFastPath:
 
     @staticmethod
     def both(path, column_map=None):
-        return ingest._columnar(read_text(path), column_map), ingest._parse_rows(
-            path, read_text(path), column_map
-        )
+        return ingest._columnar(path, column_map), ingest._parse_rows(path, column_map)
 
     @pytest.mark.parametrize("newline, delim, bom", _PLAIN_FORMS)
     def test_plain_files_take_the_fast_path(self, tmp_path, newline, delim, bom):
@@ -357,7 +377,7 @@ class TestColumnarFastPath:
     def test_small_chunks_give_the_same_dataset(self, tmp_path):
         path = tmp_path / "m.csv"
         write_grouped_csv(synthetic_grouped_dataset(n_groups=12, seed=4), path)
-        with mock.patch.object(ingest, "_CHUNK_CHARS", 37):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 37):
             fast, slow = self.both(path)
         assert fast is not None and fast == slow
 
@@ -368,7 +388,7 @@ class TestColumnarFastPath:
         write_grouped_csv(synthetic_grouped_dataset(n_groups=5, seed=6), path)
         text = path.read_text().replace("\n", newline) + newline * blank_lines
         path.write_bytes(text.encode())
-        with mock.patch.object(ingest, "_CHUNK_CHARS", 37):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 37):
             fast, slow = self.both(path)
         assert fast is not None and fast == slow
 
@@ -384,12 +404,24 @@ class TestColumnarFastPath:
             ",c,1\n",  # an empty key
             'AA,c,"1"\n',  # a quote
             "AA,c,nan\n",
-            *(f"AA,c,1\nAA,c{char}d,1\n" for char in '"\0\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'),
+            *(f"AA,c,1\nAA,c{char}d,1\n" for char in '"\0\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r\ufffd'),
+            "AA,c,1\rAA,c,2\n",  # a lone CR ending a line
+            "AA,c,1\r\r\nAA,c,2\n",  # a CR before a CRLF
         ],
     )
     def test_anything_else_falls_back(self, tmp_path, body):
         path = write(tmp_path, "m.csv", "province,city,value\n" + body)
-        assert ingest._columnar(read_text(path), None) is None
+        assert ingest._columnar(path, None) is None
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 11, 64])
+    def test_multibyte_keys_in_small_chunks(self, tmp_path, chunk):
+        """Reads end beside, and inside, the two- and three-byte characters."""
+        path = write(tmp_path, "m.csv", _lines(["Forlì-Cesena", "Zé", "€x", "A"] * 9))
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            fast, slow = self.both(path)
+        assert fast is not None
+        assert bits(fast) == bits(slow)
+        assert fast.keys == ("Forlì-Cesena", "Zé", "€x", "A")
 
 
 def _outcome(parse):
@@ -461,8 +493,8 @@ _file_args = dict(
 @settings(max_examples=400, deadline=None)
 def test_fast_path_agrees_with_row_reader(tmp_path_factory, chunk, **file_args):
     path = _property_file(tmp_path_factory, **file_args)
-    expected = _outcome(lambda: ingest._parse_rows(path, read_text(path), None))
-    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
+    expected = _outcome(lambda: ingest._parse_rows(path, None))
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
         assert _outcome(lambda: parse_city_csv(path)) == expected
 
 
@@ -470,7 +502,7 @@ def test_fast_path_agrees_with_row_reader(tmp_path_factory, chunk, **file_args):
 def in_parts(n):
     """Parse plain files in ``n`` parts, however small: ``n`` usable CPUs and
     no size floor.  Yields a spy on ``os.fork``."""
-    with mock.patch.object(ingest, "_FORK_MIN_CHARS", 1), mock.patch.object(
+    with mock.patch.object(ingest, "_FORK_MIN_BYTES", 1), mock.patch.object(
         os, "sched_getaffinity", lambda pid: set(range(n))
     ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         yield fork
@@ -484,7 +516,7 @@ def bits(dataset):
 @settings(max_examples=60, deadline=None)
 def test_forked_parts_agree_with_row_reader(tmp_path_factory, parts, **file_args):
     path = _property_file(tmp_path_factory, **file_args)
-    expected = _outcome(lambda: ingest._parse_rows(path, read_text(path), None))
+    expected = _outcome(lambda: ingest._parse_rows(path, None))
     with in_parts(parts):
         assert _outcome(lambda: parse_city_csv(path)) == expected
 
@@ -510,12 +542,12 @@ class TestForkedParts:
     def test_parts_equal_one_part(self, tmp_path, parts, case):
         path = write(tmp_path, "m.csv", _PART_CASES[case])
         serial = parse_city_csv(path)
-        assert ingest._columnar(read_text(path), None) is not None
+        assert ingest._columnar(path, None) is not None
         with in_parts(parts) as fork:
             forked = parse_city_csv(path)
         assert fork.call_count == parts - 1
         assert bits(forked) == bits(serial)
-        assert forked == ingest._parse_rows(path, read_text(path), None)
+        assert forked == ingest._parse_rows(path, None)
 
     @pytest.mark.parametrize("parts", [2, 3])
     @pytest.mark.parametrize("newline, delim, bom", _PLAIN_FORMS)
@@ -533,7 +565,7 @@ class TestForkedParts:
         write_grouped_csv(synthetic_grouped_dataset(n_groups=12, seed=4), path)
         path.write_text(path.read_text() + "\n" * blank_lines)
         serial = parse_city_csv(path)
-        with in_parts(parts) as fork, mock.patch.object(ingest, "_CHUNK_CHARS", 37):
+        with in_parts(parts) as fork, mock.patch.object(ingest, "_CHUNK_BYTES", 37):
             forked = parse_city_csv(path)
         assert fork.call_count == parts - 1
         assert bits(forked) == bits(serial)
@@ -557,6 +589,64 @@ class TestForkedParts:
         assert f"line {bad + 1}:" in str(serial.value)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestStreamedParts:
+    """Each part reads, checks and decodes only its own chunks."""
+
+    FILE = _lines(["Zé", "€x", "A"] * 3000)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [7, 64, 1 << 16])
+    def test_multibyte_keys_at_every_cut(self, tmp_path, parts, chunk):
+        path = write(tmp_path, "m.csv", self.FILE)
+        with in_parts(parts) as fork, mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            assert ingest._columnar(path, None) is not None
+            forked = parse_city_csv(path)
+        assert fork.call_count == 2 * (parts - 1)
+        assert bits(forked) == bits(ingest._parse_rows(path, None))
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_bad_utf8_in_the_last_part_is_read_texts_error(self, tmp_path, parts):
+        data = self.FILE.encode()
+        path = tmp_path / "m.csv"
+        path.write_bytes(data[:-12] + b"\xff" + data[-11:])
+        with pytest.raises(ParseError) as expected:
+            read_text(path)
+        with in_parts(parts), pytest.raises(ParseError) as got:
+            parse_city_csv(path)
+        assert str(got.value) == str(expected.value)
+        assert "can't decode byte 0xff" in str(got.value)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("last", ['A,"c",1', "A,c\0d,1", "A,c,1\rA,c,2"])
+    def test_not_plain_only_in_the_last_chunk_falls_back(self, tmp_path, parts, last):
+        path = write(tmp_path, "m.csv", self.FILE + last + "\n")
+        with in_parts(parts), mock.patch.object(ingest, "_CHUNK_BYTES", 4096):
+            assert ingest._columnar(path, None) is None
+            got = parse_city_csv(path)
+        assert bits(got) == bits(ingest._parse_rows(path, None))
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_parse_never_holds_the_file(self, tmp_path, parts):
+        """The traced peak stays below half the file plus 16 bytes per row:
+        the arrays and a chunk per part, not the file's bytes or text."""
+        path = tmp_path / "m.csv"
+        dataset = synthetic_grouped_dataset(n_groups=2200, seed=5, min_size=60, max_size=190)
+        write_grouped_csv(dataset, path)
+        size, rows = path.stat().st_size, dataset.n_rows
+        del dataset
+        assert size >= 8 << 20
+        with in_parts(parts) as fork:
+            tracemalloc.start()
+            try:
+                got = parse_city_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert fork.call_count == parts - 1
+        assert got.n_rows == rows
+        assert peak < size / 2 + 16 * rows
 
 
 class TestForkedPartsRobustness:

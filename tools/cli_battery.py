@@ -9,13 +9,15 @@ directory and relative paths only, once with ``--format csv`` and once with
 ``--format json``; call NAME in format FMT writes into OUTDIR/NAME-FMT, and
 its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
 The inputs are made first, under OUTDIR/inputs: a seeded microdata file,
-a seeded ~9 MB one with interleaved provinces (large enough that
+a seeded ~9.6 MB one with interleaved provinces (large enough that
 ``parse_city_csv`` parses it in forked parts on a host with 2 or more
-usable CPUs), a seeded one with 2400 groups (enough S/K points that
-``pipeline`` runs its rank-size and Beta sections in a forked child on
-such a host), the all-equal tiny file, the bundled province table, the S/K points of
-``pipeline --synthetic --seed 0`` and the same points with K scaled by
-1e-300 and 1e200.  Two checkouts' batteries compare with ``diff -r``.
+usable CPUs) and the same file with CRLF line ends, a seeded one whose
+province keys are not ASCII, a seeded one with 2400 groups (enough S/K
+points that ``pipeline`` runs its rank-size and Beta sections in a forked
+child on such a host), the all-equal tiny file, the bundled province
+table, the S/K points of ``pipeline --synthetic --seed 0`` and the same
+points with K scaled by 1e-300 and 1e200.  Two checkouts' batteries
+compare with ``diff -r``.
 Standard library only.
 """
 
@@ -37,6 +39,8 @@ CALLS = {
     "pipeline_fixture": ["pipeline", "--input", FIXTURE, "--value-column", "ati_eur"],
     "pipeline_micro": ["pipeline", "--input", "inputs/micro.csv"],
     "pipeline_large": ["pipeline", "--input", "inputs/large.csv"],
+    "pipeline_large_crlf": ["pipeline", "--input", "inputs/large_crlf.csv"],
+    "pipeline_utf8_keys": ["pipeline", "--input", "inputs/utf8_keys.csv"],
     "pipeline_many_groups": ["pipeline", "--input", "inputs/many_groups.csv"],
     "pipeline_tiny": ["pipeline", "--input", "inputs/tiny.csv"],
     "stats_micro": ["stats", "--input", "inputs/micro.csv"],
@@ -98,6 +102,15 @@ def make_inputs(root: Path, src: Path) -> None:
         for i in range(320_000)
     ]
     (inputs / "large.csv").write_text("province,city,value\n" + "".join(rows))
+    (inputs / "large_crlf.csv").write_text("province,city,value\n" + "".join(rows), newline="\r\n")
+    # province keys of two-, three- and four-byte UTF-8 characters
+    rng = random.Random(3)
+    names = ["Forlì-Cesena", "Zé", "€x", "Bolzano/Bozen", "Vallée", "Ωμέγα", "𝔸b"]
+    rows = [
+        f"{name}{g},c{i},{rng.lognormvariate(10.0, 1.0)!r}\n"
+        for g in range(3) for name in names for i in range(20 + rng.randrange(40))
+    ]
+    (inputs / "utf8_keys.csv").write_text("province,city,value\n" + "".join(rows), encoding="utf-8")
     # 2400 groups of 30-60 values: above the S/K point count from which
     # ``pipeline`` runs its rank-size and Beta sections in a forked child
     rng = random.Random(2)

@@ -95,13 +95,21 @@ def lstsq(x: np.ndarray, y: np.ndarray):
 def std_errors(jac: np.ndarray, sse: float) -> np.ndarray:
     """sqrt(sigma^2 diag((J^T J)^+)), sigma^2 = sse / (m - k) or 0 if m <= k.
 
-    diag((J^T J)^+) is the row sums of squares of pinv(J): finite for a
-    singular J too.  A J with a non-finite entry gives NaN for every error
-    and never reaches ``pinv``, whose SVD hangs on an inf and raises on a NaN.
+    Each column of J is first scaled by the power of two D_j that brings its
+    largest |entry| into [0.5, 1), as ``unit_scale`` does (exact, and a zero
+    column stays as it is), so that ``pinv``'s cutoff cannot drop the
+    direction of a column many orders of magnitude smaller than another (a
+    tiny rank-size scale); diag((J^T J)^+) is then the row sums of squares
+    of pinv(J D^-1), over D^2: finite for a singular J too, and inf for an
+    error beyond the float range.  A J with a non-finite entry gives NaN for
+    every error and never reaches ``pinv``, whose SVD hangs on an inf and
+    raises on a NaN.
     """
     m, k = jac.shape
     if not np.isfinite(jac).all():
         return np.full(k, np.nan)
     sigma2 = sse / (m - k) if m > k else 0.0
-    pinv = np.linalg.pinv(jac)
-    return np.sqrt(sigma2 * (pinv * pinv).sum(axis=1))
+    e = np.frexp(np.abs(jac).max(axis=0, initial=0.0))[1]
+    pinv = np.linalg.pinv(np.ldexp(jac, -e))
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(sigma2 * (pinv * pinv).sum(axis=1)), -e)

@@ -3,6 +3,7 @@
 import pathlib
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,30 @@ class TestStdErrors:
         jac[[7, 12][: len(bad)], [1, 2][: len(bad)]] = bad
         ses = std_errors(jac, 1.0)
         assert ses.shape == (3,) and np.isnan(ses).all()
+
+    def test_error_beyond_the_float_range_reads_inf(self):
+        jac = np.random.default_rng(19).normal(size=(20, 2)) * [1.0, 1e-300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ses = std_errors(jac, 1e40)
+        assert np.isfinite(ses[0]) and ses[1] == np.inf
+
+    def test_tiny_scale_zipf_keeps_every_direction(self):
+        """d = 4e-14 and alpha = -7.5 on 110 ranks, as in the K series of
+        ``pipeline --synthetic --seed 0``: in the fit's units the scale is
+        ~110^-7.5, and its Jacobian column ~1e15 times the exponent's, so a
+        pinv of the raw columns dropped a direction (se_alpha read ~1e-32).
+        The errors match the column-scaled normal-matrix inverse."""
+        r = np.arange(1.0, 111.0)
+        noise = np.exp(np.random.default_rng(5).normal(0.0, 0.2, r.size))
+        fit = fit_rank_model(4e-14 * r**7.5 * noise, "zipf")
+        d, alpha = fit.spec.params
+        f = d * r**-alpha
+        jac = np.column_stack([f / d, -f * np.log(r)])
+        norms = np.linalg.norm(jac, axis=0)
+        scaled = jac / norms
+        want = np.sqrt(fit.sse / (r.size - 2) * np.diag(np.linalg.inv(scaled.T @ scaled))) / norms
+        np.testing.assert_allclose(fit.std_errors, want, rtol=1e-8)
 
 
 class TestUnitScale:

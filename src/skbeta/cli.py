@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,12 +34,19 @@ from .errors import (
     SchemaError,
     SkbetaError,
 )
-from .ingest import parse_city_csv, read_sk_points, read_text, read_value_column
+from .ingest import parse_city_csv, read_lines, read_sk_points, read_value_column
 
 
 def _jsonable(obj):
-    """``json.dumps`` fallback: a dataclass as the dict of its fields, else ``str``."""
-    return dataclasses.asdict(obj) if dataclasses.is_dataclass(obj) else str(obj)
+    """``obj`` for ``json.dumps``: a dataclass as the dict of its fields, and
+    null for a float that is not finite, which strict JSON cannot write."""
+    if dataclasses.is_dataclass(obj):
+        obj = dataclasses.asdict(obj)
+    if isinstance(obj, dict):
+        return {key: _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _emit(out: Path, fmt: str, section, *inputs):
@@ -52,7 +60,8 @@ def _emit(out: Path, fmt: str, section, *inputs):
     listed = list(files)
     if fmt == "json":
         for name, obj in objects.items():
-            files[name] = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable) + "\n"
+            text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, default=str, allow_nan=False)
+            files[name] = text + "\n"
     if files:
         out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
@@ -65,17 +74,18 @@ def _read_config(path: str | None, keys: set[str]) -> dict[str, str]:
     if not path:
         return {}
     out: dict[str, str] = {}
-    for raw in read_text(path).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}: config line without '=': {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in keys:
-            raise ParseError(f"{path}: unknown config key {key!r}; known: {sorted(keys)}")
-        out[key] = value.strip()
+    with read_lines(path) as lines:
+        for raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}: config line without '=': {raw!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in keys:
+                raise ParseError(f"{path}: unknown config key {key!r}; known: {sorted(keys)}")
+            out[key] = value.strip()
     return out
 
 

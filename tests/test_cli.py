@@ -103,6 +103,29 @@ class TestFit:
             assert f"\n{key}: {payload[key]!r}\n" in block
         assert f"\nR^2: {payload['r_squared']!r}\n" in block
 
+    def test_json_files_are_strict_json(self, tmp_path):
+        """A number beyond the float range is null in the JSON files, which
+        strict JSON requires; the text file keeps ``inf``."""
+        syn = tmp_path / "syn"
+        run_cli("pipeline", "--synthetic", "--seed", "0", "--out-dir", str(syn))
+        header, *lines = (syn / "sk_points.csv").read_text().splitlines()
+        src = tmp_path / "k1e200.csv"
+        rows = (line.split(",") for line in lines)
+        src.write_text(header + "\n" + "".join(f"{g},{s},{float(k) * 1e200!r},{n}\n" for g, s, k, n in rows))
+        out = tmp_path / "out"
+        calls = (["fit", "--model", "quadratic"], ["fit", "--model", "power"], ["rank-fit", "--target", "k"])
+        for args in calls:
+            run_cli(*args, "--input", str(src), "--out-dir", str(out), "--format", "json")
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        payloads = {p.name: json.loads(p.read_text(), parse_constant=refuse) for p in out.glob("*.json")}
+        assert sorted(payloads) == ["fit_power.json", "fit_quadratic.json", "rank_lav4_k.json"]
+        for name, payload in payloads.items():
+            assert payload["sse"] is None, name
+            assert "\nsse: inf\n" in (out / name.replace(".json", ".txt")).read_text()
+
     @pytest.mark.parametrize("model", ["quadratic", "power"])
     def test_two_points_exits_4(self, tmp_path, capsys, model):
         src = tmp_path / "skp.csv"

@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import hashlib
 import math
 import os
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,6 @@ from skbeta.errors import (
 )
 from skbeta.ingest import (
     EXPECTED_PROVINCE_ROWS,
-    CityRecord,
     GroupedDataset,
     bundled_fixture_path,
     load_bundled_province_summary,
@@ -29,7 +30,6 @@ from skbeta.ingest import (
     parse_city_csv,
     read_sk_points,
     read_value_column,
-    read_text,
     write_grouped_csv,
 )
 from skbeta.moments import group_sk_points, sk_points_to_csv
@@ -40,6 +40,54 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def read_text(path):
+    """The whole text of a file, decoded at once: the reference for read errors."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read file: {exc}") from exc
+
+
+def reference_parse_rows(path, column_map=None):
+    """``parse_city_csv`` as one loop over the ``csv`` rows of the whole
+    decoded text: the reference for its datasets and errors."""
+    lines = read_text(path).splitlines()
+    reader = csv.reader(lines, delimiter=ingest._detect_delimiter(lines[0] if lines else ""))
+    rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
+    first = next(rows, None)
+    if first is None:
+        raise EmptyInputError(f"{path}: file is empty")
+    indices, label = ingest._city_columns([h.strip() for h in first[1]], column_map)
+    needed = max(indices.values())
+    groups: dict[str, list[float]] = {}
+    for lineno, row in rows:
+        if len(row) <= needed:
+            raise ParseError(f"{path}: line {lineno}: expected {needed + 1} columns, got {len(row)}")
+        province, raw = row[indices["province"]].strip(), row[indices["value"]].strip()
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric value {raw!r}") from None
+        if not province:
+            raise ParseError(f"{path}: line {lineno}: province_code must be nonempty")
+        if not 0.0 <= value < math.inf:
+            raise ParseError(
+                f"{path}: line {lineno}: value must be nonnegative and finite, got {value}"
+            )
+        groups.setdefault(province, []).append(value)
+    if not groups:
+        raise EmptyInputError(f"{path}: no data rows")
+    return GroupedDataset(groups, label)
+
+
+@contextlib.contextmanager
+def row_mode():
+    """A spy on ``ingest._fill``, the row mode; it sees the calls made in
+    this process only, not those of forked parts."""
+    with mock.patch.object(ingest, "_fill", wraps=ingest._fill) as spy:
+        yield spy
 
 
 class TestParseCityCsv:
@@ -125,6 +173,50 @@ class TestParseCityCsv:
         finally:
             feeder.join(10)
 
+    @staticmethod
+    @contextlib.contextmanager
+    def fifo_of(tmp_path, data: bytes):
+        """A FIFO that a thread writes ``data`` into; the writer must finish
+        without a broken pipe."""
+        fifo, failed = tmp_path / "m.fifo", []
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                fifo.write_bytes(data)
+            except OSError as exc:
+                failed.append(exc)
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            yield fifo
+        finally:
+            feeder.join(10)
+        assert not feeder.is_alive() and not failed
+
+    def test_quoted_fifo_gives_the_regular_files_dataset(self, tmp_path):
+        text = '\ufeff"province","city","value"\n' + "".join(
+            f'"Zé",c{i},{i}\n"A","c,""{i}""",0.5\n\n' for i in range(500)
+        )
+        with self.fifo_of(tmp_path, text.encode()) as fifo:
+            got = parse_city_csv(fifo)
+        assert bits(got) == bits(parse_city_csv(write(tmp_path, "m.csv", text)))
+
+    @pytest.mark.parametrize("tail", [b"", b"A,c,1\n\xff\n"])
+    def test_fifo_with_a_bad_row_raises_after_reading_to_its_end(self, tmp_path, tail):
+        """The rest of the pipe is read for a byte that is not UTF-8, which
+        wins as in a decode of the whole file; so the writer never blocks."""
+        data = b"province,city,value\nA,c,x\n" + b"A,c,1\n" * 40000 + tail
+        regular = tmp_path / "m.csv"
+        regular.write_bytes(data)
+        with pytest.raises(ParseError) as expected:
+            reference_parse_rows(regular)
+        with self.fifo_of(tmp_path, data) as fifo, pytest.raises(ParseError) as got:
+            parse_city_csv(fifo)
+        assert str(got.value) == str(expected.value).replace(str(regular), str(fifo))
+        assert ("0xff" in str(got.value)) == bool(tail)
+
     def test_non_utf8_file(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes("province,city,value\nAA,S\xe3o,1\n".encode("latin-1"))
@@ -173,14 +265,6 @@ class TestParseCityCsv:
         second = parse_city_csv(out, {"province": "province", "value": first.value_label})
         assert second.groups == first.groups
         assert second.value_label == first.value_label
-
-
-class TestCityRecord:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CityRecord("", "x", 1.0)
-        with pytest.raises(ValueError):
-            CityRecord("AA", "x", -1.0)
 
 
 class TestProvinceFixture:
@@ -354,24 +438,27 @@ def _plain_file(tmp_path, newline, delim, bom):
 
 
 class TestColumnarFastPath:
-    """``parse_city_csv`` reads plain files column-wise; ``_parse_rows`` is
-    the row-by-row reader it falls back to."""
+    """``parse_city_csv`` reads plain files column-wise and anything else
+    through its row mode, ``_fill``; both give the reference's dataset."""
 
     @staticmethod
     def both(path, column_map=None):
-        return ingest._columnar(path, column_map), ingest._parse_rows(path, column_map)
+        """The parse, which must not take the row mode, and the reference."""
+        with row_mode() as spy:
+            fast = parse_city_csv(path, column_map)
+        assert not spy.called
+        return fast, reference_parse_rows(path, column_map)
 
     @pytest.mark.parametrize("newline, delim, bom", _PLAIN_FORMS)
     def test_plain_files_take_the_fast_path(self, tmp_path, newline, delim, bom):
         ds, path = _plain_file(tmp_path, newline, delim, bom)
         fast, slow = self.both(path)
-        assert fast is not None
         assert fast == slow == ds
 
     def test_interleaved_groups_keep_first_appearance_and_file_order(self, tmp_path):
         path = write(tmp_path, "m.csv", "province,city,value\nB,x,1\nA,x,2\nB,x,3\nC,x,4\nA,x,5\n")
         fast, slow = self.both(path)
-        assert fast is not None and fast == slow
+        assert fast == slow
         assert fast.groups == {"B": (1.0, 3.0), "A": (2.0, 5.0), "C": (4.0,)}
 
     def test_small_chunks_give_the_same_dataset(self, tmp_path):
@@ -379,7 +466,7 @@ class TestColumnarFastPath:
         write_grouped_csv(synthetic_grouped_dataset(n_groups=12, seed=4), path)
         with mock.patch.object(ingest, "_CHUNK_BYTES", 37):
             fast, slow = self.both(path)
-        assert fast is not None and fast == slow
+        assert fast == slow
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     @pytest.mark.parametrize("blank_lines", [1, 2, 3])
@@ -390,7 +477,7 @@ class TestColumnarFastPath:
         path.write_bytes(text.encode())
         with mock.patch.object(ingest, "_CHUNK_BYTES", 37):
             fast, slow = self.both(path)
-        assert fast is not None and fast == slow
+        assert fast == slow
 
     @pytest.mark.parametrize(
         "body",
@@ -411,7 +498,10 @@ class TestColumnarFastPath:
     )
     def test_anything_else_falls_back(self, tmp_path, body):
         path = write(tmp_path, "m.csv", "province,city,value\n" + body)
-        assert ingest._columnar(path, None) is None
+        with row_mode() as spy:
+            got = _outcome(lambda: parse_city_csv(path))
+        assert spy.called
+        assert got == _outcome(lambda: reference_parse_rows(path))
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 11, 64])
     def test_multibyte_keys_in_small_chunks(self, tmp_path, chunk):
@@ -419,7 +509,6 @@ class TestColumnarFastPath:
         path = write(tmp_path, "m.csv", _lines(["Forlì-Cesena", "Zé", "€x", "A"] * 9))
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
             fast, slow = self.both(path)
-        assert fast is not None
         assert bits(fast) == bits(slow)
         assert fast.keys == ("Forlì-Cesena", "Zé", "€x", "A")
 
@@ -444,8 +533,11 @@ _valid_rows = st.lists(
 )
 _DEFECTS = [
     *((2, v) for v in ("nan", "inf", "1e400", "-1", "x", "", '"4"', "1_000", " 3 ", "0x10")),
-    *((0, k) for k in ("", " AA", "AA ", '"AA"')),
+    *((0, k) for k in ("", " AA", "AA ", '"AA"', '"A,A"', '"A\tA"', '"A""A"', '"A\nA"')),
     *((1, c) for c in ("c\rd", "c\x0bd", "c\x85d", "c\x00d", "c\u2028d", '"c"', " c ")),
+    # quoted cells with a delimiter, an escaped quote or a line break; an
+    # unclosed quote; a byte that is not UTF-8 (written by surrogateescape)
+    *((1, c) for c in ('"c,d"', '"c\td"', '"c""d"', '"c\nd"', '"c\r\nd"', '"c', "c\udcffd")),
     *(("line", kind) for kind in ("short", "long", "blank", "spaces", "empty cells")),
 ]
 _defects = st.lists(
@@ -468,13 +560,16 @@ def _damage(rows, defects):
     return rows
 
 
-def _property_file(tmp_path_factory, rows, defects, delim, newline, bom, trailing, extra):
+def _property_file(
+    tmp_path_factory, rows, defects, delim, newline, bom, trailing, extra, quoted_header, leading
+):
     header = ["province", "city", "value"] + (["extra"] if extra else [])
+    header = [f'"{name}"' for name in header] if quoted_header else header
     body = [row + ["x"] if extra and len(row) == 3 else row for row in _damage(rows, defects)]
-    lines = [delim.join(header)] + [delim.join(row) for row in body]
+    lines = [""] * leading + [delim.join(header)] + [delim.join(row) for row in body]
     text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if trailing else "")
     path = tmp_path_factory.mktemp("prop") / "m.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -486,14 +581,16 @@ _file_args = dict(
     bom=st.booleans(),
     trailing=st.booleans(),
     extra=st.booleans(),
+    quoted_header=st.booleans(),
+    leading=st.sampled_from([0, 0, 1, 2]),  # blank lines before the header
 )
 
 
-@given(**_file_args, chunk=st.sampled_from([5, 40, 1 << 20]))
+@given(**_file_args, chunk=st.sampled_from([1, 5, 40, 1 << 20]))
 @settings(max_examples=400, deadline=None)
 def test_fast_path_agrees_with_row_reader(tmp_path_factory, chunk, **file_args):
     path = _property_file(tmp_path_factory, **file_args)
-    expected = _outcome(lambda: ingest._parse_rows(path, None))
+    expected = _outcome(lambda: reference_parse_rows(path))
     with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
         assert _outcome(lambda: parse_city_csv(path)) == expected
 
@@ -512,12 +609,12 @@ def bits(dataset):
     return dataset.keys, dataset.counts.tobytes(), dataset.values.tobytes(), dataset.value_label
 
 
-@given(**_file_args, parts=st.sampled_from([2, 3]))
-@settings(max_examples=60, deadline=None)
-def test_forked_parts_agree_with_row_reader(tmp_path_factory, parts, **file_args):
+@given(**_file_args, parts=st.sampled_from([1, 2, 3]), chunk=st.sampled_from([1, 7, 1 << 16]))
+@settings(max_examples=80, deadline=None)
+def test_forked_parts_agree_with_row_reader(tmp_path_factory, parts, chunk, **file_args):
     path = _property_file(tmp_path_factory, **file_args)
-    expected = _outcome(lambda: ingest._parse_rows(path, None))
-    with in_parts(parts):
+    expected = _outcome(lambda: reference_parse_rows(path))
+    with in_parts(parts), mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
         assert _outcome(lambda: parse_city_csv(path)) == expected
 
 
@@ -541,13 +638,14 @@ class TestForkedParts:
     @pytest.mark.parametrize("case", list(_PART_CASES))
     def test_parts_equal_one_part(self, tmp_path, parts, case):
         path = write(tmp_path, "m.csv", _PART_CASES[case])
-        serial = parse_city_csv(path)
-        assert ingest._columnar(path, None) is not None
+        with row_mode() as spy:
+            serial = parse_city_csv(path)
+        assert not spy.called
         with in_parts(parts) as fork:
             forked = parse_city_csv(path)
         assert fork.call_count == parts - 1
         assert bits(forked) == bits(serial)
-        assert forked == ingest._parse_rows(path, None)
+        assert forked == reference_parse_rows(path)
 
     @pytest.mark.parametrize("parts", [2, 3])
     @pytest.mark.parametrize("newline, delim, bom", _PLAIN_FORMS)
@@ -600,11 +698,14 @@ class TestStreamedParts:
     @pytest.mark.parametrize("chunk", [7, 64, 1 << 16])
     def test_multibyte_keys_at_every_cut(self, tmp_path, parts, chunk):
         path = write(tmp_path, "m.csv", self.FILE)
-        with in_parts(parts) as fork, mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
-            assert ingest._columnar(path, None) is not None
-            forked = parse_city_csv(path)
-        assert fork.call_count == 2 * (parts - 1)
-        assert bits(forked) == bits(ingest._parse_rows(path, None))
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            with row_mode() as spy:
+                serial = parse_city_csv(path)
+            with in_parts(parts) as fork:
+                forked = parse_city_csv(path)
+        assert not spy.called
+        assert fork.call_count == parts - 1
+        assert bits(forked) == bits(serial) == bits(reference_parse_rows(path))
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_bad_utf8_in_the_last_part_is_read_texts_error(self, tmp_path, parts):
@@ -622,18 +723,42 @@ class TestStreamedParts:
     @pytest.mark.parametrize("last", ['A,"c",1', "A,c\0d,1", "A,c,1\rA,c,2"])
     def test_not_plain_only_in_the_last_chunk_falls_back(self, tmp_path, parts, last):
         path = write(tmp_path, "m.csv", self.FILE + last + "\n")
-        with in_parts(parts), mock.patch.object(ingest, "_CHUNK_BYTES", 4096):
-            assert ingest._columnar(path, None) is None
-            got = parse_city_csv(path)
-        assert bits(got) == bits(ingest._parse_rows(path, None))
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 4096):
+            with row_mode() as spy:
+                serial = parse_city_csv(path)
+            with in_parts(parts):
+                got = parse_city_csv(path)
+        assert spy.call_count == 1  # the last chunk's rows only
+        assert bits(got) == bits(serial) == bits(reference_parse_rows(path))
 
-    @pytest.mark.parametrize("parts", [1, 2])
-    def test_parse_never_holds_the_file(self, tmp_path, parts):
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_quoted_line_break_across_a_cut_parses_again_in_one_part(self, tmp_path, parts):
+        lines = self.FILE.splitlines(keepends=True)
+        lines[100:-100] = ['A,"' + "".join(lines[100:-100]) + '",1\n']  # over every cut
+        path = write(tmp_path, "m.csv", "".join(lines))
+        with in_parts(parts), mock.patch.object(ingest, "_part", wraps=ingest._part) as part:
+            got = parse_city_csv(path)
+        assert [call.args[1:3] for call in part.call_args_list[1:]] == [
+            (part.call_args_list[0].args[1], path.stat().st_size)
+        ]
+        assert bits(got) == bits(reference_parse_rows(path))
+
+    @pytest.mark.parametrize(
+        "parts, quoted",
+        [(1, False), (2, False), (1, True), (2, True)],
+        ids=["1", "2", "1-quoted", "2-quoted"],
+    )
+    def test_parse_never_holds_the_file(self, tmp_path, parts, quoted):
         """The traced peak stays below half the file plus 16 bytes per row:
-        the arrays and a chunk per part, not the file's bytes or text."""
+        the arrays and a chunk per part, not the file's bytes or text.  With
+        every province key quoted the row mode fills the same arrays."""
         path = tmp_path / "m.csv"
         dataset = synthetic_grouped_dataset(n_groups=2200, seed=5, min_size=60, max_size=190)
         write_grouped_csv(dataset, path)
+        if quoted:
+            head, *body = path.read_text().splitlines(keepends=True)
+            path.write_text(head + "".join('"' + line.replace(",", '",', 1) for line in body))
+            del head, body
         size, rows = path.stat().st_size, dataset.n_rows
         del dataset
         assert size >= 8 << 20
@@ -658,13 +783,13 @@ class TestForkedPartsRobustness:
 
     @staticmethod
     def in_children(action):
-        """``ingest._runs`` that runs ``action`` in a forked child instead."""
-        parent, runs = os.getpid(), ingest._runs
+        """``ingest._part`` that runs ``action`` in a forked child instead."""
+        parent, part = os.getpid(), ingest._part
 
         def patched(*args):
-            return action() if os.getpid() != parent else runs(*args)
+            return action() if os.getpid() != parent else part(*args)
 
-        return mock.patch.object(ingest, "_runs", patched)
+        return mock.patch.object(ingest, "_part", patched)
 
     def _raise(self):
         raise RuntimeError("child failed")
@@ -764,3 +889,23 @@ class TestPinnedBytes:
             # a numpy 2 scalar reprs as np.float64(...); none may reach a file
             assert b"np." not in data, name
             assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_public_names():
+    """``skbeta.__all__`` names each public name once, and each resolves."""
+    import skbeta
+
+    assert sorted(skbeta.__all__) == sorted(set(skbeta.__all__)) == sorted(
+        """__version__ BetaCalibration BetaParams beta_cdf beta_function beta_kurtosis
+        beta_pdf beta_skewness calibrate_from_sk help_variable ln_gamma urn_limit_pmf
+        urn_limit_pmfs yule_simon_pmf GroupedDataset ProvinceSummaryRow
+        load_bundled_province_summary load_province_summary parse_city_csv KSFitResult
+        fit_power fit_quadratic help_variable_from_pq GroupSKResult MomentSummary SKPoint
+        central_moments detect_outliers group_sk_points histogram shape_moments summarize
+        RankFitResult RankModelSpec RankVariant RankedSeries eval_rank_model fit_rank_model
+        rank_ascending rank_fit_to_beta SimResult UrnConfig empirical_tail_slope predicted_b
+        run tv_distance_to_limit""".split()
+    )
+    namespace: dict = {}
+    exec("from skbeta import *", namespace)
+    assert all(namespace[name] is getattr(skbeta, name) for name in skbeta.__all__)

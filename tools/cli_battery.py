@@ -11,13 +11,16 @@ its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
 The inputs are made first, under OUTDIR/inputs: a seeded microdata file,
 a seeded ~9.6 MB one with interleaved provinces (large enough that
 ``parse_city_csv`` parses it in forked parts on a host with 2 or more
-usable CPUs) and the same file with CRLF line ends, a seeded one whose
-province keys are not ASCII, a seeded one with 2400 groups (enough S/K
-points that ``pipeline`` runs its rank-size and Beta sections in a forked
-child on such a host), the all-equal tiny file, the bundled province
-table, the S/K points of ``pipeline --synthetic --seed 0`` and the same
-points with K scaled by 1e-300 and 1e200.  Two checkouts' batteries
-compare with ``diff -r``.
+usable CPUs), the same file with CRLF line ends and the same file with
+every province key quoted, a seeded one whose province keys are not ASCII,
+a small seeded one with a BOM and every field quoted (an escaped quote, a
+quoted delimiter and a quoted line break among them, a blank line and a
+lone CR), a seeded one with 2400 groups (enough S/K points that
+``pipeline`` runs its rank-size and Beta sections in a forked child on such
+a host), the all-equal tiny file, the bundled province table, the S/K
+points of ``pipeline --synthetic --seed 0`` and the same points with K
+scaled by 1e-300 and 1e200.  Two checkouts' batteries compare with
+``diff -r``.
 Standard library only.
 """
 
@@ -40,6 +43,8 @@ CALLS = {
     "pipeline_micro": ["pipeline", "--input", "inputs/micro.csv"],
     "pipeline_large": ["pipeline", "--input", "inputs/large.csv"],
     "pipeline_large_crlf": ["pipeline", "--input", "inputs/large_crlf.csv"],
+    "pipeline_quoted": ["pipeline", "--input", "inputs/quoted.csv"],
+    "pipeline_quoted_all": ["pipeline", "--input", "inputs/quoted_all.csv"],
     "pipeline_utf8_keys": ["pipeline", "--input", "inputs/utf8_keys.csv"],
     "pipeline_many_groups": ["pipeline", "--input", "inputs/many_groups.csv"],
     "pipeline_tiny": ["pipeline", "--input", "inputs/tiny.csv"],
@@ -103,6 +108,20 @@ def make_inputs(root: Path, src: Path) -> None:
     ]
     (inputs / "large.csv").write_text("province,city,value\n" + "".join(rows))
     (inputs / "large_crlf.csv").write_text("province,city,value\n" + "".join(rows), newline="\r\n")
+    quoted = "".join('"' + row.replace(",", '",', 1) for row in rows)
+    (inputs / "quoted.csv").write_text("province,city,value\n" + quoted)
+    # every field quoted, the header too, after a BOM
+    rng = random.Random(4)
+    rows = [
+        f'"Q{g:02d}","c{g}_{i}","{rng.lognormvariate(10.0, 1.0)!r}"'
+        for g in range(12) for i in range(30 + 5 * g)
+    ]
+    rows[3] = rows[3].replace('"c0_3"', '"c0 ""3"""')
+    rows[40] = rows[40].replace('"c1_10"', '"c1, 10"')
+    rows[80] = rows[80].replace('"c2_15"', '"c2\n15"')
+    rows[120] = ""
+    text = '\ufeff"province","city","value"\n' + "\n".join(rows[:200]) + "\r" + "\n".join(rows[200:])
+    (inputs / "quoted_all.csv").write_text(text + "\n", encoding="utf-8", newline="")
     # province keys of two-, three- and four-byte UTF-8 characters
     rng = random.Random(3)
     names = ["Forlì-Cesena", "Zé", "€x", "Bolzano/Bozen", "Vallée", "Ωμέγα", "𝔸b"]

@@ -162,17 +162,6 @@ class TestParseCityCsv:
             parse_city_csv(path)
         assert str(got.value) == str(expected.value)
 
-    def test_fifo_gives_the_regular_files_dataset(self, tmp_path):
-        text = "province,city,value\n" + "".join(f"Zé,c{i},{i}\nA,c{i},0.5\n" for i in range(500))
-        fifo = tmp_path / "m.fifo"
-        os.mkfifo(fifo)
-        feeder = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"})
-        feeder.start()
-        try:
-            assert parse_city_csv(fifo) == parse_city_csv(write(tmp_path, "m.csv", text))
-        finally:
-            feeder.join(10)
-
     @staticmethod
     @contextlib.contextmanager
     def fifo_of(tmp_path, data: bytes):
@@ -194,6 +183,12 @@ class TestParseCityCsv:
         finally:
             feeder.join(10)
         assert not feeder.is_alive() and not failed
+
+    def test_fifo_gives_the_regular_files_dataset(self, tmp_path):
+        text = "province,city,value\n" + "".join(f"Zé,c{i},{i}\nA,c{i},0.5\n" for i in range(500))
+        with self.fifo_of(tmp_path, text.encode()) as fifo:
+            got = parse_city_csv(fifo)
+        assert got == parse_city_csv(write(tmp_path, "m.csv", text))
 
     def test_quoted_fifo_gives_the_regular_files_dataset(self, tmp_path):
         text = '\ufeff"province","city","value"\n' + "".join(

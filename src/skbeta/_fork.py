@@ -28,11 +28,11 @@ def in_parts(job, parts: int, fork: bool = True, arrays=None) -> list:
     With ``fork`` each job after the first runs in a child, at the same time
     as the parent runs job 0; the child sends the pickle of its result and
     then the bytes of ``arrays[i]`` (the arrays job i fills in place) down a
-    pipe, straight into the parent's arrays.  A job whose child cannot be
-    started, fails, dies or sends short data is run by the parent, as every
-    job is without ``fork``, so an exception that a job raises is raised by
-    the parent at the same point.  Every child is reaped before this
-    returns or raises.
+    pipe, and the parent reads them straight into its arrays where the
+    pickle ends.  A job whose child cannot be started, fails, dies or sends
+    short data is run by the parent, as every job is without ``fork``, so an
+    exception that a job raises is raised by the parent at the same point.
+    Every child is reaped before this returns or raises.
 
     A child runs on the usable CPUs but the one the parent ran on at the
     fork: left to the scheduler, a child at times shared its parent's CPU
@@ -88,9 +88,8 @@ def _other_cpus() -> set[int] | None:
 
 def _child(job, i: int, fd: int, arrays, inherited: list[int], cpus):
     """In a forked child: move to ``cpus`` (if any), send the pickle of
-    ``job(i)``, its length first, and then ``arrays`` down ``fd``, and exit.
-    Never returns into the caller's frames; an exception ends the child with
-    status 1 and no output."""
+    ``job(i)`` and then ``arrays`` down ``fd``, and exit.  Never returns into
+    the caller's frames; an exception ends the child with status 1."""
     status = 1
     try:
         for other in inherited:
@@ -98,11 +97,10 @@ def _child(job, i: int, fd: int, arrays, inherited: list[int], cpus):
         if cpus:
             with contextlib.suppress(OSError):
                 os.sched_setaffinity(0, cpus)
-        blob = pickle.dumps(job(i), pickle.HIGHEST_PROTOCOL)
-        for buf in (len(blob).to_bytes(8, "little"), blob, *arrays):
-            view = memoryview(buf).cast("B")
-            while view:
-                view = view[os.write(fd, view) :]
+        with open(fd, "wb") as out:
+            pickle.dump(job(i), out, pickle.HIGHEST_PROTOCOL)
+            for array in arrays:
+                out.write(array)
         status = 0
     finally:
         os._exit(status)
@@ -111,21 +109,10 @@ def _child(job, i: int, fd: int, arrays, inherited: list[int], cpus):
 def _receive(fd: int, arrays):
     """The result a child sent down ``fd``, with ``arrays`` read in place;
     ``_SHORT`` where the data ran short."""
-    head = bytearray(8)
-    if not _fill(fd, head):
-        return _SHORT
-    blob = bytearray(int.from_bytes(head, "little"))
-    if not (_fill(fd, blob) and all(_fill(fd, array) for array in arrays)):
-        return _SHORT
-    return pickle.loads(blob)
-
-
-def _fill(fd: int, buf) -> bool:
-    """Read ``fd`` into all of ``buf``; False at an early end of file."""
-    view = memoryview(buf).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
+    with open(fd, "rb", closefd=False) as src:
+        try:
+            got = pickle.load(src)  # reads up to the pickle's last byte
+        except (EOFError, pickle.UnpicklingError):
+            return _SHORT
+        full = all(src.readinto(array) == array.nbytes for array in arrays)
+    return got if full else _SHORT

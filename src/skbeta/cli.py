@@ -318,6 +318,9 @@ def cmd_rank_fit(args) -> int:
 
 
 def cmd_beta_calibrate(args) -> int:
+    for name, value in (("skew", args.skew), ("kurt", args.kurt)):
+        if not math.isfinite(value):
+            raise ParseError(f"{name} must be finite, got {value}")
     out = Path(args.out_dir)
     _emit(out, args.format, _calibrate, args.skew, args.kurt, "calibration", "beta_cdf.csv")
     return 0
@@ -349,6 +352,8 @@ def cmd_pipeline(args) -> int:
     min_n = _resolve(args.min_n, config_file, "min_n", 4, int)
     bins = _resolve(args.bins, config_file, "bins", 10, int)
     seed = _resolve(args.seed, config_file, "seed", 0, int)
+    if not 0 <= seed < 2**64:  # as ``UrnConfig`` checks the seed of ``simulate``
+        raise ParseError(f"seed must be an unsigned 64-bit integer, got {seed}")
     _check_counts(min_n, bins)
     do_sim = _resolve(None, config_file, "simulate", False, _switch) or args.simulate
     sim_cfg = _urn_config({}, config_file, "sim_", 20000, seed) if do_sim else None

@@ -7,11 +7,12 @@ finite and nonnegative.  Province fixture schema:
 file is read ``_CHUNK_BYTES`` at a time by ``_chunks``, never whole, and
 reads as ``csv.reader`` over the ``str.splitlines`` lines of its decoded
 text would; numbers in point files, value columns and the province table
-must be finite.  ``parse_city_csv`` reads a regular file with a plain
-header into two preallocated arrays, in up to ``_MAX_PARTS`` parts at once
-(``_fork.in_parts``): column-wise while a part's chunks are plain, then row
-by row (``_fill``).  A pipe, or a file whose first line is not a plain
-header, is read row by row from byte 0 (``_read_rows``).
+must be finite.  ``parse_city_csv`` reads a regular file whose first line
+is one complete header record into two preallocated arrays, in up to
+``_MAX_PARTS`` parts at once (``_fork.in_parts``): column-wise while a
+part's chunks are plain, then row by row (``_fill``).  A pipe, or a file
+whose first line is not such a header, is read row by row from byte 0
+(``_read_rows``).
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
     does not read as finite and nonnegative is a line-numbered ParseError.
     """
     plan = _plan(path, column_map) if os.path.isfile(path) else None
-    if plan is None:  # a pipe, or a first line that is not a plain header
+    if plan is None:  # a pipe, or a first line that is not one header record
         group, values = np.empty(0, np.int64), np.empty(0)
         with _read_rows(path) as (header, body):
             columns, label = _city_columns(header, column_map)
@@ -224,9 +225,10 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
 
 
 # The characters that switch a part to its row mode, once each "\r\n" is
-# "\n": U+FFFD (which stands for bytes that are not UTF-8), a CR (a line
-# break there), the quote, NUL, and every other ``str.splitlines`` break.
-_NOT_PLAIN = "\ufffd\r\"\0\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# "\n": the quote (first: a header may hold it), U+FFFD (which stands for
+# bytes that are not UTF-8), a CR, NUL, and every other ``str.splitlines``
+# break.
+_NOT_PLAIN = "\"\ufffd\r\0\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # A chunk's copies stay in L2; 1 MB chunks parsed slower and peaked higher.
 _CHUNK_BYTES = 1 << 16
 # Body bytes per forked part: starting a child costs ~8-17 ms, and a ~4.3 MB
@@ -236,11 +238,12 @@ _MAX_PARTS = 4
 
 
 def _plan(path, column_map: Mapping[str, str] | None):
-    """``(layout, label, cuts, rows)``, or None where the first line is not
-    a plain header naming the mapped columns or there is no body.  The body
-    is cut at line breaks into one part per usable CPU (up to ``_MAX_PARTS``
-    of at least ``_FORK_MIN_BYTES``): bytes ``cuts[i]`` to ``cuts[i + 1]``,
-    of ``rows[i + 1] - rows[i]`` lines (blank lines at the end aside)."""
+    """``(layout, label, cuts, rows)``, or None where there is no body or
+    the first line is not one CSV record that names the mapped columns, with
+    no character of ``_NOT_PLAIN`` but the quote.  The body is cut at line
+    breaks into one part per usable CPU (up to ``_MAX_PARTS`` of at least
+    ``_FORK_MIN_BYTES``): bytes ``cuts[i]`` to ``cuts[i + 1]``, of ``rows[i +
+    1] - rows[i]`` lines (blank lines at the end aside)."""
     with _open(path) as fh:
         head = fh.readline(1 << 16)  # a longer first line is read as rows
         bom = len(_BOM) if head.startswith(_BOM) else 0
@@ -249,13 +252,13 @@ def _plan(path, column_map: Mapping[str, str] | None):
         tail = fh.read()  # blank lines at the end add no rows
         stop = size - len(tail) + len(tail.rstrip(b"\r\n"))
         text = head[bom:].decode(errors="replace").removesuffix("\n").removesuffix("\r")
-        if stop <= pos or not head.endswith(b"\n") or any(c in text for c in _NOT_PLAIN):
+        if stop <= pos or not head.endswith(b"\n") or any(c in text for c in _NOT_PLAIN[1:]):
             return None
         delim = _detect_delimiter(text)
-        header = [h.strip() for h in text.split(delim)]
-        try:
+        try:  # one complete record, quoted fields and all
+            header = [h.strip() for h in next(csv.reader([text], delimiter=delim, strict=True))]
             columns, label = _city_columns(header, column_map)
-        except SchemaError:
+        except (csv.Error, SchemaError):
             return None
         n_parts = max(1, min(usable_cpus(), _MAX_PARTS, (stop - pos) // _FORK_MIN_BYTES))
         cuts = [pos]

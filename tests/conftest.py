@@ -1,6 +1,10 @@
+import io
+import os
+
+import numpy as np
 import pytest
 
-from skbeta import urnsim
+from skbeta import _fork, urnsim
 
 SIMON_CONFIG = urnsim.UrnConfig(k0=1, a_shift=0.0, alpha=0.5, steps=200_000, seed=42)
 
@@ -9,3 +13,32 @@ SIMON_CONFIG = urnsim.UrnConfig(k0=1, a_shift=0.0, alpha=0.5, steps=200_000, see
 def simon_run():
     """The 2e5-step reference run shared by urn tests and acceptance."""
     return SIMON_CONFIG, urnsim.run(SIMON_CONFIG)
+
+
+@pytest.fixture
+def cut_stream(monkeypatch):
+    """``cut_stream(arrays)``: from then on, a child of ``_fork.in_parts``
+    writes half of its first pickle write (with ``arrays``, of its first
+    array) into its pipe and exits 0, leaving the parent short data."""
+    parent = os.getpid()
+
+    class Cut(io.BufferedWriter):
+        def write(self, data):
+            if isinstance(data, np.ndarray) is self.arrays:
+                view = memoryview(data).cast("B")
+                super().write(view[: len(view) // 2])
+                self.flush()
+                os._exit(0)
+            return super().write(data)
+
+    def cut(arrays: bool):
+        def opener(file, mode="r", **kwargs):
+            if os.getpid() == parent or mode != "wb":
+                return open(file, mode, **kwargs)
+            out = Cut(io.FileIO(file, "wb"))
+            out.arrays = arrays
+            return out
+
+        monkeypatch.setattr(_fork, "open", opener, raising=False)
+
+    return cut

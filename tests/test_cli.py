@@ -541,6 +541,40 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, seed",
+        [
+            (("--synthetic", "--seed", "-1"), "-1"),
+            (("--input", "{src}", "--seed", "-1"), "-1"),
+            (("--input", "{src}", "--seed", "18446744073709551616"), "18446744073709551616"),
+            (("--input", "{src}", "--config", "{cfg}"), "-1"),  # seed = -1 in the config
+        ],
+        ids=["synthetic", "input", "past_2_64", "config"],
+    )
+    def test_pipeline_bad_seed_exits_2_before_output(self, tmp_path, capsys, flags, seed):
+        src, cfg, out = tmp_path / "m.csv", tmp_path / "p.cfg", tmp_path / "o"
+        src.write_text(MICRO)
+        cfg.write_text("seed = -1\n")
+        flags = [f.format(src=src, cfg=cfg) for f in flags]
+        assert run_cli("pipeline", *flags, "--out-dir", str(out)) == 2
+        err = f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, err",
+        [(["--skew", "nan", "--kurt", "3"], "skew must be finite, got nan"),
+         (["--skew", "inf", "--kurt", "3"], "skew must be finite, got inf"),
+         (["--skew", "0.5", "--kurt", "nan"], "kurt must be finite, got nan"),
+         (["--skew", "0.5", "--kurt=-inf"], "kurt must be finite, got -inf")],
+        ids=["skew_nan", "skew_inf", "kurt_nan", "kurt_minus_inf"],
+    )
+    def test_non_finite_beta_calibrate_exits_2_before_output(self, tmp_path, capsys, flags, err):
+        out = tmp_path / "o"
+        assert run_cli("beta-calibrate", *flags, "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
     def test_steps_past_int32_exit_2_before_output(self, tmp_path, monkeypatch, capsys):
         # a run would ask for ~12 GB here: validation must stop it first
         def no_run(cfg):
@@ -958,28 +992,25 @@ class TestSectionFork:
 
     @pytest.mark.parametrize("failure", ["raise", "exit", "short"])
     def test_failed_child_chain_is_run_by_the_parent(
-        self, tmp_path, capsys, monkeypatch, src, failure
+        self, tmp_path, capsys, monkeypatch, cut_stream, src, failure
     ):
-        parent, fit, write_fd = os.getpid(), ranksize.fit_rank_model, os.write
+        parent, fit, parent_fits = os.getpid(), ranksize.fit_rank_model, []
 
         def fit_in_child(*args):
-            if os.getpid() != parent and failure == "raise":
+            if os.getpid() == parent:
+                parent_fits.append(args[1])
+            elif failure == "raise":
                 raise RuntimeError("child failed")
-            if os.getpid() != parent and failure == "exit":
+            elif failure == "exit":
                 os._exit(3)
             return fit(*args)
 
-        def short_write(fd, data):
-            if os.getpid() != parent and len(data) > 8:  # half the result, then exit 0
-                write_fd(fd, data[: len(data) // 2])
-                os._exit(0)
-            return write_fd(fd, data)
-
         monkeypatch.setattr(ranksize, "fit_rank_model", fit_in_child)
-        if failure == "short":
-            monkeypatch.setattr(os, "write", short_write)
+        if failure == "short":  # the child's pickle is cut
+            cut_stream(arrays=False)
         serial, forked = self.both(tmp_path, capsys, src)
         assert serial == forked and serial[0] == 0
+        assert len(parent_fits) == 4  # rank_s and rank_k, serially and in the rerun
 
     def test_failed_fork_runs_the_chain_in_the_parent(self, tmp_path, capsys, src):
         out = tmp_path / "serial"

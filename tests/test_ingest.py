@@ -684,6 +684,53 @@ class TestForkedParts:
             os.waitpid(-1, os.WNOHANG)
 
 
+class TestQuotedHeader:
+    """A first line that is one complete CSV record, quotes and all, keeps
+    the planned path: preallocated arrays, in parts where the body is large."""
+
+    BODY = _lines(["A", "B", "C"] * 300).split("\n", 1)[1]
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize(
+        "header, column_map",
+        [
+            ('"province","city","value"', None),
+            ('province,"city",value', None),
+            ('"province","city, town","value"', {"province": "province", "value": "value"}),
+        ],
+        ids=["all", "one", "delimiter"],
+    )
+    def test_quoted_header_takes_no_row_mode(self, tmp_path, parts, header, column_map):
+        plain = parse_city_csv(write(tmp_path, "plain.csv", "province,city,value\n" + self.BODY))
+        path = write(tmp_path, "m.csv", header + "\n" + self.BODY)
+        with in_parts(parts) as fork, row_mode() as spy:
+            got = parse_city_csv(path, column_map)
+        assert not spy.called
+        assert fork.call_count == parts - 1
+        assert bits(got) == bits(plain) == bits(reference_parse_rows(path, column_map))
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    @pytest.mark.parametrize(
+        "head",
+        [
+            'province,city,value,"note\n',  # a quoted field left open
+            '"a\nb",province,city,value\n',  # closed on the next line
+            '"prov"ince,city,value\n',  # text after a closing quote
+        ],
+        ids=["open", "line_break", "after_quote"],
+    )
+    def test_header_that_is_not_one_record_is_read_as_rows(self, tmp_path, parts, head):
+        lines = self.BODY.splitlines(keepends=True)
+        body = "".join("z," + line for line in lines) if "a\nb" in head else self.BODY
+        path = write(tmp_path, "m.csv", head + body)
+        with in_parts(parts) as fork, row_mode() as spy:
+            got = _outcome(lambda: parse_city_csv(path))
+        assert fork.call_count == 0
+        assert got == _outcome(lambda: reference_parse_rows(path))
+        if isinstance(got, GroupedDataset):  # from byte 0, in this process
+            assert spy.called and got.n_rows == len(lines)
+
+
 class TestStreamedParts:
     """Each part reads, checks and decodes only its own chunks."""
 
@@ -800,22 +847,31 @@ class TestForkedPartsRobustness:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_short_data_is_parsed_by_the_parent(self, path):
+    def _parsed_by_the_parent(self, path, cut_stream, arrays: bool):
+        """Part 1's child sends a cut pickle (or a whole pickle and cut
+        arrays): the parent parses part 1 itself, to the serial dataset."""
         serial = parse_city_csv(path)
-        parent, write_fd = os.getpid(), os.write
+        parent, part, starts = os.getpid(), ingest._part, []
 
-        def short_write(fd, data):
-            if os.getpid() != parent and len(data) > 1000:  # half an array, then exit 0
-                write_fd(fd, data[: len(data) // 2])
-                os._exit(0)
-            return write_fd(fd, data)
+        def spy(*args):
+            if os.getpid() == parent:
+                starts.append(args[1])
+            return part(*args)
 
-        with in_parts(2) as fork, mock.patch.object(os, "write", short_write):
+        cut_stream(arrays)
+        with in_parts(2) as fork, mock.patch.object(ingest, "_part", spy):
             forked = parse_city_csv(path)
         assert fork.call_count == 1
+        assert len(starts) == 2 and starts[0] < starts[1]  # parts 0 and 1
         assert bits(forked) == bits(serial)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_short_data_is_parsed_by_the_parent(self, path, cut_stream):
+        self._parsed_by_the_parent(path, cut_stream, arrays=False)
+
+    def test_short_arrays_are_parsed_by_the_parent(self, path, cut_stream):
+        self._parsed_by_the_parent(path, cut_stream, arrays=True)
 
     def test_no_child_is_left_unreaped(self, path):
         with in_parts(3) as fork:

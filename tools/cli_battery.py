@@ -11,8 +11,9 @@ its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
 The inputs are made first, under OUTDIR/inputs: a seeded microdata file,
 a seeded ~9.6 MB one with interleaved provinces (large enough that
 ``parse_city_csv`` parses it in forked parts on a host with 2 or more
-usable CPUs), the same file with CRLF line ends and the same file with
-every province key quoted, a seeded one whose province keys are not ASCII,
+usable CPUs), the same file with CRLF line ends, the same file with
+every province key quoted and the same file with only its header quoted,
+a seeded one whose province keys are not ASCII,
 a small seeded one with a BOM and every field quoted (an escaped quote, a
 quoted delimiter and a quoted line break among them, a blank line and a
 lone CR), a seeded one with 2400 groups (enough S/K points that
@@ -44,10 +45,12 @@ CALLS = {
     "pipeline_large": ["pipeline", "--input", "inputs/large.csv"],
     "pipeline_large_crlf": ["pipeline", "--input", "inputs/large_crlf.csv"],
     "pipeline_quoted": ["pipeline", "--input", "inputs/quoted.csv"],
+    "pipeline_quoted_header": ["pipeline", "--input", "inputs/quoted_header.csv"],
     "pipeline_quoted_all": ["pipeline", "--input", "inputs/quoted_all.csv"],
     "pipeline_utf8_keys": ["pipeline", "--input", "inputs/utf8_keys.csv"],
     "pipeline_many_groups": ["pipeline", "--input", "inputs/many_groups.csv"],
     "pipeline_tiny": ["pipeline", "--input", "inputs/tiny.csv"],
+    "pipeline_seed_negative": ["pipeline", "--synthetic", "--seed", "-1"],
     "stats_micro": ["stats", "--input", "inputs/micro.csv"],
     "stats_tiny": ["stats", "--input", "inputs/tiny.csv"],
     "fit_quadratic": ["fit", "--input", POINTS, "--model", "quadratic"],
@@ -67,6 +70,7 @@ CALLS = {
     "beta_calibrate_near_normal": [
         "beta-calibrate", "--skew", "1.0950354976675177e-05", "--kurt", "2.9999882585658235",
     ],
+    "beta_calibrate_nan": ["beta-calibrate", "--skew", "nan", "--kurt", "3"],
     "simulate": ["simulate", "--steps", "200000", "--seed", "42"],
     "simulate_negative_shift": [
         "simulate", "--a-shift", "-0.5", "--steps", "50000", "--seed", "3", "--k-min", "5",
@@ -110,6 +114,7 @@ def make_inputs(root: Path, src: Path) -> None:
     (inputs / "large_crlf.csv").write_text("province,city,value\n" + "".join(rows), newline="\r\n")
     quoted = "".join('"' + row.replace(",", '",', 1) for row in rows)
     (inputs / "quoted.csv").write_text("province,city,value\n" + quoted)
+    (inputs / "quoted_header.csv").write_text('"province","city","value"\n' + "".join(rows))
     # every field quoted, the header too, after a BOM
     rng = random.Random(4)
     rows = [

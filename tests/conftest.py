@@ -22,22 +22,20 @@ def cut_stream(monkeypatch):
     array) into its pipe and exits 0, leaving the parent short data."""
     parent = os.getpid()
 
-    class Cut(io.BufferedWriter):
-        def write(self, data):
-            if isinstance(data, np.ndarray) is self.arrays:
-                view = memoryview(data).cast("B")
-                super().write(view[: len(view) // 2])
-                self.flush()
-                os._exit(0)
-            return super().write(data)
-
     def cut(arrays: bool):
+        class Cut(io.BufferedWriter):
+            def write(self, data):
+                if isinstance(data, np.ndarray) is arrays:
+                    view = memoryview(data).cast("B")
+                    super().write(view[: len(view) // 2])
+                    self.flush()
+                    os._exit(0)
+                return super().write(data)
+
         def opener(file, mode="r", **kwargs):
             if os.getpid() == parent or mode != "wb":
                 return open(file, mode, **kwargs)
-            out = Cut(io.FileIO(file, "wb"))
-            out.arrays = arrays
-            return out
+            return Cut(io.FileIO(file, "wb"))
 
         monkeypatch.setattr(_fork, "open", opener, raising=False)
 

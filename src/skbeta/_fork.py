@@ -1,6 +1,6 @@
 """Jobs run at once in ``os.fork`` children: the package's one fork helper.
 
-``ingest`` parses a large plain file in parts with ``in_parts``, and
+``ingest`` parses a large file in parts with ``in_parts``, and
 ``cli.cmd_pipeline`` runs its rank-size and Beta sections in a child while
 the parent runs the K-S fits.
 """
@@ -11,7 +11,7 @@ import contextlib
 import os
 import pickle
 
-_SHORT = object()  # what ``_receive`` returns where a child's data ran short
+_SHORT = object()  # what ``_receive`` returns where a child's pickle ran short
 
 
 def usable_cpus() -> int:
@@ -22,17 +22,17 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
-def in_parts(job, parts: int, fork: bool = True, arrays=None) -> list:
+def in_parts(job, parts: int, fork: bool = True) -> list:
     """``[job(i) for i in range(parts)]``, jobs after the first in forked children.
 
     With ``fork`` each job after the first runs in a child, at the same time
-    as the parent runs job 0; the child sends the pickle of its result and
-    then the bytes of ``arrays[i]`` (the arrays job i fills in place) down a
-    pipe, and the parent reads them straight into its arrays where the
-    pickle ends.  A job whose child cannot be started, fails, dies or sends
-    short data is run by the parent, as every job is without ``fork``, so an
-    exception that a job raises is raised by the parent at the same point.
-    Every child is reaped before this returns or raises.
+    as the parent runs job 0, and sends the pickle of its result down a
+    pipe.  What a job writes into memory that ``fork`` shares (an anonymous
+    ``mmap``) the parent sees in place.  A job whose child cannot be
+    started, fails, dies or sends a short pickle is run by the parent, as
+    every job is without ``fork``, so an exception that a job raises is
+    raised by the parent at the same point.  Every child is reaped before
+    this returns or raises.
 
     A child runs on the usable CPUs but the one the parent ran on at the
     fork: left to the scheduler, a child at times shared its parent's CPU
@@ -41,7 +41,6 @@ def in_parts(job, parts: int, fork: bool = True, arrays=None) -> list:
     children that ran ``lstsq`` and ``pinv`` after the parent had used
     OpenBLAS, with ``OPENBLAS_NUM_THREADS`` at 1, 2 and unset, did not hang.
     """
-    arrays = arrays or [()] * parts
     children: dict[int, tuple[int, int]] = {}
     others = _other_cpus() if fork and parts > 1 else None
     try:
@@ -54,13 +53,13 @@ def in_parts(job, parts: int, fork: bool = True, arrays=None) -> list:
                 os.close(w)
                 break
             if pid == 0:
-                _child(job, i, w, arrays[i], [r, *(fd for _, fd in children.values())], others)
+                _child(job, i, w, [r, *(fd for _, fd in children.values())], others)
             os.close(w)
             children[i] = pid, r
         results = []
         for i in range(parts):
-            got = _receive(children[i][1], arrays[i]) if i in children else _SHORT
-            if got is _SHORT:  # no child, or it failed or sent short data
+            got = _receive(children[i][1]) if i in children else _SHORT
+            if got is _SHORT:  # no child, or it failed or sent a short pickle
                 got = job(i)
             results.append(got)
         return results
@@ -86,10 +85,10 @@ def _other_cpus() -> set[int] | None:
     return others or None
 
 
-def _child(job, i: int, fd: int, arrays, inherited: list[int], cpus):
+def _child(job, i: int, fd: int, inherited: list[int], cpus):
     """In a forked child: move to ``cpus`` (if any), send the pickle of
-    ``job(i)`` and then ``arrays`` down ``fd``, and exit.  Never returns into
-    the caller's frames; an exception ends the child with status 1."""
+    ``job(i)`` down ``fd``, and exit.  Never returns into the caller's
+    frames; an exception ends the child with status 1."""
     status = 1
     try:
         for other in inherited:
@@ -99,20 +98,15 @@ def _child(job, i: int, fd: int, arrays, inherited: list[int], cpus):
                 os.sched_setaffinity(0, cpus)
         with open(fd, "wb") as out:
             pickle.dump(job(i), out, pickle.HIGHEST_PROTOCOL)
-            for array in arrays:
-                out.write(array)
         status = 0
     finally:
         os._exit(status)
 
 
-def _receive(fd: int, arrays):
-    """The result a child sent down ``fd``, with ``arrays`` read in place;
-    ``_SHORT`` where the data ran short."""
+def _receive(fd: int):
+    """The result a child sent down ``fd``; ``_SHORT`` where its pickle ran short."""
     with open(fd, "rb", closefd=False) as src:
         try:
-            got = pickle.load(src)  # reads up to the pickle's last byte
+            return pickle.load(src)
         except (EOFError, pickle.UnpicklingError):
             return _SHORT
-        full = all(src.readinto(array) == array.nbytes for array in arrays)
-    return got if full else _SHORT

@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -460,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help, *parents):
         p = sub.add_parser(name, help=help, parents=[*parents, output])
+        p._negative_number_matcher = re.compile(r"-\.?\d")  # "-1e-5" is a value, as on Python 3.13
         p.set_defaults(func=func)
         return p
 

@@ -8,11 +8,11 @@ file is read ``_CHUNK_BYTES`` at a time by ``_chunks``, never whole, and
 reads as ``csv.reader`` over the ``str.splitlines`` lines of its decoded
 text would; numbers in point files, value columns and the province table
 must be finite.  ``parse_city_csv`` reads a regular file whose first line
-is one complete header record into two preallocated arrays, in up to
-``_MAX_PARTS`` parts at once (``_fork.in_parts``): column-wise while a
-part's chunks are plain, then row by row (``_fill``).  A pipe, or a file
-whose first line is not such a header, is read row by row from byte 0
-(``_read_rows``).
+is one complete header record into two arrays on anonymous shared mappings,
+in up to ``_MAX_PARTS`` parts at once (``_fork.in_parts``) that write in
+place: column-wise while a part's chunks are plain, then row by row
+(``_fill``).  A pipe, or a file whose first line is not such a header, is
+read row by row from byte 0 (``_read_rows``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import contextlib
 import csv
 import itertools
 import math
+import mmap
 import os
 from array import array
 from dataclasses import dataclass
@@ -203,13 +204,12 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
                 raise ParseError(f"{path}: line {fault[0]}: {fault[1]}")
         parts, slices = [(list(codes), rows, extra, 0, None)], [(group, values)]
     else:
-        layout, label, cuts, rows = plan
-        group, values = np.empty(rows[-1], np.int64), np.empty(rows[-1])
+        layout, label, cuts, rows = plan  # forked parts write into the shared arrays
+        group, values = (np.frombuffer(mmap.mmap(-1, 8 * rows[-1]), t) for t in (np.int64, float))
         slices = [(group[lo:hi], values[lo:hi]) for lo, hi in zip(rows, rows[1:])]
         parts = in_parts(
             lambda i: _part(path, cuts[i], cuts[i + 1], layout, *slices[i], i < len(slices) - 1),
             len(slices),
-            arrays=slices,
         )
         fault = next((part[-1] for part in parts if part[-1]), None)
         if fault and fault[1] is None:  # a quoted line break crosses a cut
@@ -399,7 +399,7 @@ def _fill(rows, columns, codes, group, values, row: int, extra, count: list[int]
 def _dataset(path, parts, group, values, slices, label: str) -> GroupedDataset:
     """The dataset of the parts' results: codes remapped in place to first
     appearance in the file, arrays joined anew where a part did not fill
-    exactly its slice."""
+    exactly its slice, and ``values`` read-only (later forks share them)."""
     codes, pieces = {}, []
     for (keys, rows, extra, *_), (part, part_values) in zip(parts, slices):
         remap = np.array([codes.setdefault(key, len(codes)) for key in keys], np.int64)
@@ -416,6 +416,7 @@ def _dataset(path, parts, group, values, slices, label: str) -> GroupedDataset:
     if (group[1:] < group[:-1]).any():
         values = values[np.argsort(group, kind="stable")]
     counts = np.bincount(group, minlength=len(codes))
+    values.flags.writeable = False
     return GroupedDataset(keys=tuple(codes), counts=counts, values=values, value_label=label)
 
 

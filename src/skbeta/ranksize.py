@@ -207,19 +207,20 @@ def fit_rank_model(values, variant) -> RankFitResult:
     """Fit one rank-model variant to a value series (ranking is internal)."""
     variant = RankVariant(variant)
     series = rank_ascending(values)
-    y = np.asarray(series.values, dtype=float)
+    raw = np.asarray(series.values, dtype=float)
+    y, e = unit_scale(raw)
     n = series.n
     names = PARAM_NAMES[variant]
-    if np.any(y <= 0.0):
-        bad = float(y[y <= 0.0][0])
+    if np.any(y <= 0.0):  # a value that is not positive, or underflows at unit scale
+        bad, top = float(raw[y <= 0.0][0]), float(np.abs(raw).max())
         raise FitDomainError(
-            f"rank fit requires positive values; found {bad} in the series"
+            f"rank fit requires positive values; found {bad} in the series" if bad <= 0.0
+            else f"rank fit cannot scale the series: {bad} underflows to 0 beside {top}"
         )
     if n < len(names) + 2:
         raise ValueError(
             f"{variant.value} fit needs at least {len(names) + 2} values, got {n}"
         )
-    y, e = unit_scale(y)
     r = np.arange(1.0, n + 1.0)
     p0 = _initial_theta(variant, r, y, n)[1:]
     p, (c,), sse, stop, iterations = separable_fit(_columns(variant, r, n), p0, y)

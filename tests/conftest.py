@@ -1,7 +1,6 @@
 import io
 import os
 
-import numpy as np
 import pytest
 
 from skbeta import _fork, urnsim
@@ -17,20 +16,18 @@ def simon_run():
 
 @pytest.fixture
 def cut_stream(monkeypatch):
-    """``cut_stream(arrays)``: from then on, a child of ``_fork.in_parts``
-    writes half of its first pickle write (with ``arrays``, of its first
-    array) into its pipe and exits 0, leaving the parent short data."""
+    """``cut_stream()``: from then on, a child of ``_fork.in_parts`` writes
+    half of its first pickle write into its pipe and exits 0, leaving the
+    parent a short pickle."""
     parent = os.getpid()
 
-    def cut(arrays: bool):
+    def cut():
         class Cut(io.BufferedWriter):
             def write(self, data):
-                if isinstance(data, np.ndarray) is arrays:
-                    view = memoryview(data).cast("B")
-                    super().write(view[: len(view) // 2])
-                    self.flush()
-                    os._exit(0)
-                return super().write(data)
+                view = memoryview(data).cast("B")
+                super().write(view[: len(view) // 2])
+                self.flush()
+                os._exit(0)
 
         def opener(file, mode="r", **kwargs):
             if os.getpid() == parent or mode != "wb":

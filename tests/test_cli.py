@@ -223,6 +223,20 @@ class TestRankFit:
         assert f"stop: {payload['stop']}\n" in block
         assert f"iterations: {payload['iterations']}\n" in block
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["zipf", "yule_simon", "lav4"])
+    def test_value_that_underflows_at_unit_scale_exits_4(self, tmp_path, capsys, variant):
+        """1e-320 beside 1.7e308 scales to 0: a domain error, with no numpy warning."""
+        src = tmp_path / "v.csv"
+        src.write_text("v\n1e308\n1.7e308\n1e-320\n5\n6\n7\n8\n9\n")
+        out = tmp_path / "out"
+        argv = ["--input", str(src), "--value-column", "v", "--variant", variant]
+        assert run_cli("rank-fit", *argv, "--out-dir", str(out)) == 4
+        assert capsys.readouterr().err == (
+            "error: rank fit cannot scale the series: 1e-320 underflows to 0 beside 1.7e+308\n"
+        )
+        assert not out.exists()
+
 
 class TestBetaCalibrate:
     def test_hand_pair(self, tmp_path):
@@ -314,6 +328,27 @@ class TestSimulate:
         assert run_cli(*argv, *(["--synthetic"] if command == "pipeline" else [])) == 2
         assert capsys.readouterr().err == f"error: {cfg}: config line without '=': 'alpha'\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["beta-calibrate", "--skew", "-1.0950354976675177e-05", "--kurt", "2.9999882585658235"], 0),
+        (["beta-calibrate", "--skew", "0.5", "--kurt", "-2E0"], 4),
+        (["simulate", "--a-shift", "-5e-1", "--steps", "100", "--seed", "3"], 0),
+        (["simulate", "--alpha", "-.5e-3", "--steps", "100"], 2),
+    ],
+)
+def test_negative_exponent_values_read_as_after_equals(tmp_path, capsys, argv, rc):
+    """``--flag -1e-5`` is the value -1e-5, as ``--flag=-1e-5`` is."""
+    runs = []
+    for form in ("spaced", "equals"):
+        flags = argv[1:] if form == "spaced" else map("=".join, zip(argv[1::2], argv[2::2]))
+        out = tmp_path / form
+        runs.append((run_cli(argv[0], *flags, "--out-dir", str(out)), capsys.readouterr().err,
+                     _tree(out) if out.exists() else {}))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == rc
 
 
 class TestPipeline:
@@ -1007,7 +1042,7 @@ class TestSectionFork:
 
         monkeypatch.setattr(ranksize, "fit_rank_model", fit_in_child)
         if failure == "short":  # the child's pickle is cut
-            cut_stream(arrays=False)
+            cut_stream()
         serial, forked = self.both(tmp_path, capsys, src)
         assert serial == forked and serial[0] == 0
         assert len(parent_fits) == 4  # rank_s and rank_k, serially and in the rerun

@@ -684,9 +684,38 @@ class TestForkedParts:
             os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize(
+    "case, parts, source",
+    [
+        ("grouped", 1, "file"),
+        ("grouped", 2, "file"),
+        ("recurring", 2, "file"),  # values sorted into a new array
+        ("grouped", 1, "blank_first_line"),
+        ("recurring", 1, "fifo"),
+    ],
+)
+def test_parsed_values_are_read_only(tmp_path, case, parts, source):
+    """On the planned path, in parts or not, and in the row mode from byte 0."""
+    text = ("\n" if source == "blank_first_line" else "") + _PART_CASES[case]
+    with contextlib.ExitStack() as stack:
+        if source == "fifo":
+            path = stack.enter_context(TestParseCityCsv.fifo_of(tmp_path, text.encode()))
+        else:
+            path = write(tmp_path, "m.csv", text)
+        fork = stack.enter_context(in_parts(parts))
+        spy = stack.enter_context(row_mode())
+        got = parse_city_csv(path)
+    assert fork.call_count == parts - 1
+    assert spy.called == (source != "file")
+    assert not got.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got.values[0] = 1.0
+    assert bits(got) == bits(reference_parse_rows(write(tmp_path, "copy.csv", text)))
+
+
 class TestQuotedHeader:
     """A first line that is one complete CSV record, quotes and all, keeps
-    the planned path: preallocated arrays, in parts where the body is large."""
+    the planned path: shared arrays, in parts where the body is large."""
 
     BODY = _lines(["A", "B", "C"] * 300).split("\n", 1)[1]
 
@@ -791,8 +820,9 @@ class TestStreamedParts:
         ids=["1", "2", "1-quoted", "2-quoted"],
     )
     def test_parse_never_holds_the_file(self, tmp_path, parts, quoted):
-        """The traced peak stays below half the file plus 16 bytes per row:
-        the arrays and a chunk per part, not the file's bytes or text.  With
+        """The traced peak stays below half the file: a chunk per part, not
+        the file's bytes or text, nor its rows as Python objects (the arrays
+        lie on shared mappings, which ``tracemalloc`` does not see).  With
         every province key quoted the row mode fills the same arrays."""
         path = tmp_path / "m.csv"
         dataset = synthetic_grouped_dataset(n_groups=2200, seed=5, min_size=60, max_size=190)
@@ -813,7 +843,7 @@ class TestStreamedParts:
                 tracemalloc.stop()
         assert fork.call_count == parts - 1
         assert got.n_rows == rows
-        assert peak < size / 2 + 16 * rows
+        assert peak < size / 2
 
 
 class TestForkedPartsRobustness:
@@ -833,23 +863,49 @@ class TestForkedPartsRobustness:
 
         return mock.patch.object(ingest, "_part", patched)
 
-    def _raise(self):
-        raise RuntimeError("child failed")
+    @staticmethod
+    def fail(failure):
+        if failure == "raise":
+            raise RuntimeError("child failed")
+        os._exit(3)
 
     @pytest.mark.parametrize("failure", ["raise", "exit"])
     def test_failed_child_part_is_parsed_by_the_parent(self, path, failure):
         serial = parse_city_csv(path)
-        action = self._raise if failure == "raise" else lambda: os._exit(3)
-        with in_parts(3) as fork, self.in_children(action):
+        with in_parts(3) as fork, self.in_children(lambda: self.fail(failure)):
             forked = parse_city_csv(path)
         assert fork.call_count == 2
         assert bits(forked) == bits(serial)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def _parsed_by_the_parent(self, path, cut_stream, arrays: bool):
-        """Part 1's child sends a cut pickle (or a whole pickle and cut
-        arrays): the parent parses part 1 itself, to the serial dataset."""
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_failed_childs_garbage_is_parsed_over(self, path, failure):
+        """Part 1's child fills its shared slices with garbage and then
+        fails: the parent sees the garbage and parses part 1 over it."""
+        serial = parse_city_csv(path)
+        parent, part, garbled = os.getpid(), ingest._part, []
+
+        def garble(*args):
+            slices = [array.view(np.uint8) for array in args[4:6]]  # group, values
+            if os.getpid() == parent:
+                garbled.append(all((raw == 0xA5).all() for raw in slices))
+                return part(*args)
+            for raw in slices:
+                raw.fill(0xA5)
+            self.fail(failure)
+
+        with in_parts(2) as fork, mock.patch.object(ingest, "_part", garble):
+            forked = parse_city_csv(path)
+        assert fork.call_count == 1
+        assert garbled == [False, True]  # part 0 as mapped; part 1 as its child left it
+        assert bits(forked) == bits(serial)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_short_data_is_parsed_by_the_parent(self, path, cut_stream):
+        """Part 1's child sends a cut pickle: the parent parses part 1
+        itself, to the serial dataset."""
         serial = parse_city_csv(path)
         parent, part, starts = os.getpid(), ingest._part, []
 
@@ -858,7 +914,7 @@ class TestForkedPartsRobustness:
                 starts.append(args[1])
             return part(*args)
 
-        cut_stream(arrays)
+        cut_stream()
         with in_parts(2) as fork, mock.patch.object(ingest, "_part", spy):
             forked = parse_city_csv(path)
         assert fork.call_count == 1
@@ -866,12 +922,6 @@ class TestForkedPartsRobustness:
         assert bits(forked) == bits(serial)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-    def test_short_data_is_parsed_by_the_parent(self, path, cut_stream):
-        self._parsed_by_the_parent(path, cut_stream, arrays=False)
-
-    def test_short_arrays_are_parsed_by_the_parent(self, path, cut_stream):
-        self._parsed_by_the_parent(path, cut_stream, arrays=True)
 
     def test_no_child_is_left_unreaped(self, path):
         with in_parts(3) as fork:

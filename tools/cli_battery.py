@@ -4,7 +4,7 @@ Usage: python tools/cli_battery.py OUTDIR [SRC]
 
 SRC is the ``src`` directory of the checkout to run (default: the one next
 to this script), so one copy of this script can drive an older checkout too.
-Every call runs ``python -m skbeta.cli`` with OUTDIR as its working
+Each of the 38 calls runs ``python -m skbeta.cli`` with OUTDIR as its working
 directory and relative paths only, once with ``--format csv`` and once with
 ``--format json``; call NAME in format FMT writes into OUTDIR/NAME-FMT, and
 its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
@@ -70,11 +70,15 @@ CALLS = {
     "beta_calibrate_near_normal": [
         "beta-calibrate", "--skew", "1.0950354976675177e-05", "--kurt", "2.9999882585658235",
     ],
+    "beta_calibrate_negative_exponent": [
+        "beta-calibrate", "--skew", "-1.0950354976675177e-05", "--kurt", "2.9999882585658235",
+    ],
     "beta_calibrate_nan": ["beta-calibrate", "--skew", "nan", "--kurt", "3"],
     "simulate": ["simulate", "--steps", "200000", "--seed", "42"],
     "simulate_negative_shift": [
         "simulate", "--a-shift", "-0.5", "--steps", "50000", "--seed", "3", "--k-min", "5",
     ],
+    "simulate_negative_exponent": ["simulate", "--a-shift", "-5e-1", "--steps", "100"],
     "fit_quadratic_k1e-300": ["fit", "--input", "inputs/k1e-300.csv", "--model", "quadratic"],
     "fit_power_k1e-300": ["fit", "--input", "inputs/k1e-300.csv", "--model", "power"],
     "fit_quadratic_k1e200": ["fit", "--input", "inputs/k1e200.csv", "--model", "quadratic"],

@@ -1,8 +1,8 @@
 """Jobs run at once in ``os.fork`` children: the package's one fork helper.
 
 ``ingest`` parses a large file in parts with ``in_parts``, and
-``cli.cmd_pipeline`` runs its rank-size and Beta sections in a child while
-the parent runs the K-S fits.
+``cli.cmd_pipeline`` runs its rank-size, Beta and simulation sections in a
+child while the parent runs the summaries and K-S fits.
 """
 
 from __future__ import annotations
@@ -22,17 +22,16 @@ def usable_cpus() -> int:
     return cpus or 1
 
 
-def in_parts(job, parts: int, fork: bool = True) -> list:
+def in_parts(job, parts: int) -> list:
     """``[job(i) for i in range(parts)]``, jobs after the first in forked children.
 
-    With ``fork`` each job after the first runs in a child, at the same time
-    as the parent runs job 0, and sends the pickle of its result down a
-    pipe.  What a job writes into memory that ``fork`` shares (an anonymous
-    ``mmap``) the parent sees in place.  A job whose child cannot be
-    started, fails, dies or sends a short pickle is run by the parent, as
-    every job is without ``fork``, so an exception that a job raises is
-    raised by the parent at the same point.  Every child is reaped before
-    this returns or raises.
+    Each job after the first runs in a child, at the same time as the
+    parent runs job 0, and sends the pickle of its result down a pipe.  What
+    a job writes into memory that ``fork`` shares (an anonymous ``mmap``)
+    the parent sees in place.  A job whose child cannot be started, fails,
+    dies or sends a short pickle is run by the parent, so an exception that
+    a job raises is raised by the parent at the point a serial run would
+    raise it.  Every child is reaped before this returns or raises.
 
     A child runs on the usable CPUs but the one the parent ran on at the
     fork: left to the scheduler, a child at times shared its parent's CPU
@@ -42,9 +41,9 @@ def in_parts(job, parts: int, fork: bool = True) -> list:
     OpenBLAS, with ``OPENBLAS_NUM_THREADS`` at 1, 2 and unset, did not hang.
     """
     children: dict[int, tuple[int, int]] = {}
-    others = _other_cpus() if fork and parts > 1 else None
+    others = _other_cpus() if parts > 1 else None
     try:
-        for i in range(1, parts if fork else 1):
+        for i in range(1, parts):
             r, w = os.pipe()
             try:
                 pid = os.fork()

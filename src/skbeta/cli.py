@@ -6,12 +6,12 @@ The exit code is 0, 3 for a partial pipeline, the ``exit_code`` of the
 All outputs are deterministic given (input bytes, config, seed); machine
 files carry full-precision numbers, only the human-readable summary rounds.
 Every subcommand and every pipeline section is one section function whose
-files ``_emit`` writes; a section that fails writes none.  ``pipeline`` runs
-its rank-size and Beta sections in a forked child (``_fork.in_parts``) while
-the parent runs the group stats and K-S fits, when there are at least
-``_FORK_MIN_POINTS`` S/K points and two usable CPUs; otherwise the parent
-runs both, one after the other, through the same code.  The outputs are the
-same either way.
+files ``_emit`` writes; a section that fails writes none.  After the S/K
+points, ``pipeline`` runs its rank-size, Beta and simulation sections in a
+forked child (``_fork.in_parts``) while the parent runs the pooled and group
+stats and K-S fits, when there are at least ``_FORK_MIN_POINTS`` S/K points
+and two usable CPUs; otherwise the parent runs both chains, one after the
+other, through the same code.  The outputs are the same either way.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _emit(out: Path, fmt: str, section, *inputs):
     listed = list(files)
     if fmt == "json":
         for name, obj in objects.items():
-            text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, default=str, allow_nan=False)
+            text = json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
             files[name] = text + "\n"
     if files:
         out.mkdir(parents=True, exist_ok=True)
@@ -338,12 +338,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# S/K points from which ``pipeline`` runs its rank-size and Beta sections in a
-# forked child.  A child costs ~15-20 ms (the fork, copy-on-write faults, the
-# pipe).  Sections' wall time in fresh processes, serial -> forked, median of
-# 12 alternating pairs on a 2-vCPU host: 500 points 33.6 -> 53.4 ms, 1000
-# points 51.2 -> 52.2 ms (break-even), 2000 points 67.5 -> 47.7 ms (10/12
-# won), 4000 points 132.8 -> 81.2 ms (12/12).
+# S/K points from which ``pipeline`` runs its chain 1 in a forked child.  A
+# trivial fork and reap takes ~2.5-2.8 ms.  The chains' wall time in fresh
+# processes, serial -> forked, median of 20 alternating pairs on a 2-vCPU host
+# with one BLAS thread (``OPENBLAS_NUM_THREADS=1``): 500 points 23.5 -> 22.3
+# ms (14/20 won), 1000 33.1 -> 26.3 ms (19/20), 2000 61.9 -> 38.6 ms (20/20),
+# 4000 91.8 -> 56.9 ms (19/20).  With OpenBLAS's default thread count (2 there)
+# the fork gains less: 29.8 -> 29.2, 47.0 -> 32.6, 78.5 -> 49.7 and 112.7 ->
+# 99.5 ms (11, 20, 19, 13/20); at 8000 points 174 -> 172 ms (9/12 pairs).
 _FORK_MIN_POINTS = 2000
 
 
@@ -384,9 +386,6 @@ def cmd_pipeline(args) -> int:
         rows.append((name, status, files))
         return result
 
-    sections: list[tuple[str, str, list[str]]] = []
-    run(sections, "pooled_stats", "", _pooled_stats, dataset.values)
-
     try:
         groups = moments.group_sk_points(dataset, min_n=min_n)
     except EmptyResultError as exc:
@@ -395,13 +394,14 @@ def cmd_pipeline(args) -> int:
     no_points = "" if points else "insufficient group sizes"
 
     def chain(i: int) -> list:
-        """The manifest rows of chain 0 (group stats, K-S fits) or chain 1
-        (rank fits, Beta sections), which follow each other in the manifest.
+        """The manifest rows of chain 0 (pooled and group stats, K-S fits) or
+        chain 1 (rank fits, Beta sections, simulation), in manifest order.
         Chain 1 may run in a forked child beside chain 0; only its CDFs raise
         past ``run`` (``InternalCheckError``), and ``in_parts`` then reruns it
         in the parent, which raises at the same point."""
         rows: list[tuple[str, str, list[str]]] = []
         if i == 0:
+            run(rows, "pooled_stats", "", _pooled_stats, dataset.values)
             if points:
                 run(rows, "group_stats", "", _group_stats, groups, bins)
             else:  # the skipped-groups report is still written, and listed
@@ -420,13 +420,12 @@ def cmd_pipeline(args) -> int:
         for t, _ in series:
             unmet = no_points or ("" if rank_fits[t] else "lav4 fit unavailable")
             run(rows, f"beta_rank_{t}", unmet, _beta_rank, rank_fits[t], f"beta_rank_{t}")
+        run(rows, "simulate", "" if do_sim else "not requested", _simulate, sim_cfg, None)
         return rows
 
     forked = len(points) >= _FORK_MIN_POINTS and usable_cpus() >= 2
-    for rows in in_parts(chain, 2, fork=forked):
-        sections.extend(rows)
-
-    run(sections, "simulate", "" if do_sim else "not requested", _simulate, sim_cfg, None)
+    chains = in_parts(chain, 2) if forked else [chain(0), chain(1)]
+    sections = [row for rows in chains for row in rows]
 
     failed, _ = _emit(out, args.format, _manifest, sections, source, seed, min_n, bins)
     return EmptyResultError.exit_code if failed else 0

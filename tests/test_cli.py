@@ -901,6 +901,24 @@ class TestSectionRunner:
         assert not list(out.glob("fit_*"))
         assert "rank_s: ok" in manifest
 
+    def test_json_object_that_json_cannot_write_raises(self, tmp_path, monkeypatch):
+        """A value that ``_jsonable`` leaves alone and ``json`` cannot write (a
+        numpy integer) raises ``TypeError`` under ``--format json`` and writes
+        no file; it is not written as its ``str``."""
+        pooled_stats = cli._pooled_stats
+
+        def pooled(values):
+            result, files, _ = pooled_stats(values)
+            return result, files, {"pooled_stats.json": {"n": np.int64(len(values))}}
+
+        monkeypatch.setattr(cli, "_pooled_stats", pooled)
+        argv = ("pipeline", "--synthetic", "--seed", "0", "--out-dir")
+        assert run_cli(*argv, str(tmp_path / "csv")) == 0
+        out = tmp_path / "json"
+        with pytest.raises(TypeError, match="int64"):
+            run_cli(*argv, str(out), "--format", "json")
+        assert not out.exists()
+
     def test_stats_and_pipeline_write_identical_group_files(self, tmp_path):
         src = tmp_path / "m.csv"
         write_grouped_csv(synthetic_grouped_dataset(seed=5), src)
@@ -938,9 +956,9 @@ def test_second_call_in_a_process_matches_a_lone_run(tmp_path):
 
 @contextlib.contextmanager
 def section_fork(cpus=2, min_points=16):
-    """Run ``pipeline``'s rank-size and Beta chain in a forked child from
-    ``min_points`` S/K points, with ``cpus`` usable CPUs.  Yields a spy on
-    ``os.fork``."""
+    """Run ``pipeline``'s chain 1 (rank-size, Beta and simulation sections)
+    in a forked child from ``min_points`` S/K points, with ``cpus`` usable
+    CPUs.  Yields a spy on ``os.fork``."""
     with mock.patch.object(cli, "_FORK_MIN_POINTS", min_points), mock.patch.object(
         os, "sched_getaffinity", lambda pid: set(range(cpus))
     ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
@@ -957,8 +975,9 @@ def _no_child_left():
 
 
 class TestSectionFork:
-    """Large pipeline calls run the rank-size and Beta sections in a forked
-    child; every out-dir, exit code and stderr is the serial path's."""
+    """Large pipeline calls run chain 1 (rank-size, Beta and simulation
+    sections) in a forked child; every out-dir, exit code and stderr is the
+    serial path's."""
 
     @pytest.fixture
     def src(self, tmp_path):
@@ -1072,6 +1091,58 @@ class TestSectionFork:
             assert run_cli("pipeline", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 0
         assert fork.call_count == 1
         _no_child_left()
+
+    @pytest.mark.parametrize("forked", [False, True])
+    def test_pooled_stats_in_the_parent_and_simulate_in_chain_1(
+        self, tmp_path, monkeypatch, src, forked
+    ):
+        """Every section runs in one of the two chains: ``pooled_stats`` first
+        in the parent's, ``simulate`` last in the other, which is the forked
+        child's when the run forks."""
+        log = tmp_path / "calls"
+
+        def spy(name, section):
+            def logged(*inputs):
+                with open(log, "a") as fh:
+                    fh.write(f"{name} {os.getpid()}\n")
+                return section(*inputs)
+
+            return logged
+
+        for name in ("pooled_stats", "simulate"):
+            monkeypatch.setattr(cli, f"_{name}", spy(name, getattr(cli, f"_{name}")))
+        out = tmp_path / "out"
+        argv = ("pipeline", "--input", str(src), "--out-dir", str(out), "--simulate")
+        with (section_fork() if forked else _no_fork()) as fork:
+            assert run_cli(*argv) == 0
+        assert fork.call_count == forked
+        _no_child_left()
+        pids = dict(line.split() for line in log.read_text().splitlines())
+        assert pids["pooled_stats"] == str(os.getpid())
+        assert (pids["simulate"] == str(os.getpid())) is not forked
+        lines = (out / "manifest.txt").read_text().splitlines()
+        names = [line.split(":")[0].strip() for line in lines if line.startswith("  ") and line[2] != " "]
+        assert names[0] == "pooled_stats" and names[-1] == "simulate"
+
+    def test_pooled_overflow_in_a_forked_run_raises_and_reaps(self, tmp_path, src):
+        """The pooled variance of values near 1e200 overflows in the parent's
+        chain.  Serially that raises before any file is written; forked, the
+        child has written its chain's files by then and is reaped."""
+        huge = tmp_path / "huge.csv"
+        lines = src.read_text().splitlines()
+        rows = (line.rsplit(",", 1) for line in lines[1:])
+        huge.write_text(lines[0] + "\n" + "".join(f"{k},{float(v) * 1e200!r}\n" for k, v in rows))
+        serial, forked = tmp_path / "serial", tmp_path / "forked"
+        with _no_fork(), pytest.raises(OverflowError, match="variance"):
+            run_cli("pipeline", "--input", str(huge), "--out-dir", str(serial))
+        assert not serial.exists()
+        with section_fork() as fork, pytest.raises(OverflowError, match="variance"):
+            run_cli("pipeline", "--input", str(huge), "--out-dir", str(forked))
+        assert fork.call_count == 1
+        _no_child_left()
+        files = set(_tree(forked))
+        assert {"rank_s.txt", "beta_rank_k_cdf.csv"} <= files
+        assert "pooled_summary.txt" not in files and "manifest.txt" not in files
 
     def test_forked_lapack_with_two_blas_threads_returns(self, tmp_path, src):
         serial = tmp_path / "serial"

@@ -4,7 +4,7 @@ Usage: python tools/cli_battery.py OUTDIR [SRC]
 
 SRC is the ``src`` directory of the checkout to run (default: the one next
 to this script), so one copy of this script can drive an older checkout too.
-Each of the 38 calls runs ``python -m skbeta.cli`` with OUTDIR as its working
+Each of the 39 calls runs ``python -m skbeta.cli`` with OUTDIR as its working
 directory and relative paths only, once with ``--format csv`` and once with
 ``--format json``; call NAME in format FMT writes into OUTDIR/NAME-FMT, and
 its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
@@ -17,11 +17,11 @@ a seeded one whose province keys are not ASCII,
 a small seeded one with a BOM and every field quoted (an escaped quote, a
 quoted delimiter and a quoted line break among them, a blank line and a
 lone CR), a seeded one with 2400 groups (enough S/K points that
-``pipeline`` runs its rank-size and Beta sections in a forked child on such
-a host), the all-equal tiny file, the bundled province table, the S/K
-points of ``pipeline --synthetic --seed 0`` and the same points with K
-scaled by 1e-300 and 1e200.  Two checkouts' batteries compare with
-``diff -r``.
+``pipeline`` runs its rank-size, Beta and, with ``--simulate``, simulation
+sections in a forked child on such a host), the all-equal tiny file, the
+bundled province table, the S/K points of ``pipeline --synthetic --seed 0``
+and the same points with K scaled by 1e-300 and 1e200.  Two checkouts'
+batteries compare with ``diff -r``.
 Standard library only.
 """
 
@@ -49,6 +49,9 @@ CALLS = {
     "pipeline_quoted_all": ["pipeline", "--input", "inputs/quoted_all.csv"],
     "pipeline_utf8_keys": ["pipeline", "--input", "inputs/utf8_keys.csv"],
     "pipeline_many_groups": ["pipeline", "--input", "inputs/many_groups.csv"],
+    "pipeline_many_groups_simulate": [
+        "pipeline", "--input", "inputs/many_groups.csv", "--simulate",
+    ],
     "pipeline_tiny": ["pipeline", "--input", "inputs/tiny.csv"],
     "pipeline_seed_negative": ["pipeline", "--synthetic", "--seed", "-1"],
     "stats_micro": ["stats", "--input", "inputs/micro.csv"],
@@ -140,7 +143,7 @@ def make_inputs(root: Path, src: Path) -> None:
     ]
     (inputs / "utf8_keys.csv").write_text("province,city,value\n" + "".join(rows), encoding="utf-8")
     # 2400 groups of 30-60 values: above the S/K point count from which
-    # ``pipeline`` runs its rank-size and Beta sections in a forked child
+    # ``pipeline`` runs its second chain of sections in a forked child
     rng = random.Random(2)
     rows = [
         f"M{g:04d},c{i},{rng.lognormvariate(10.0, 1.2)!r}\n"

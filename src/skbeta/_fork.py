@@ -1,8 +1,5 @@
-"""Jobs run at once in ``os.fork`` children: the package's one fork helper.
-
-``ingest`` parses a large file in parts with ``in_parts``, and
-``cli.cmd_pipeline`` runs its rank-size, Beta and simulation sections in a
-child while the parent runs the summaries and K-S fits.
+"""Jobs run at once in ``os.fork`` children: the package's one fork helper,
+with which ``ingest`` parses a large file in parts.
 """
 
 from __future__ import annotations
@@ -10,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import signal
 
 _SHORT = object()  # what ``_receive`` returns where a child's pickle ran short
 
@@ -31,14 +29,13 @@ def in_parts(job, parts: int) -> list:
     the parent sees in place.  A job whose child cannot be started, fails,
     dies or sends a short pickle is run by the parent, so an exception that
     a job raises is raised by the parent at the point a serial run would
-    raise it.  Every child is reaped before this returns or raises.
+    raise it.  Where the parent raises, no child's result is used: each child
+    is killed, and every child is reaped before this returns or raises.
 
     A child runs on the usable CPUs but the one the parent ran on at the
     fork: left to the scheduler, a child at times shared its parent's CPU
     for hundreds of milliseconds while the other CPU of a 2-vCPU host stood
-    idle.  A child may do any work that numpy does, LAPACK included:
-    children that ran ``lstsq`` and ``pinv`` after the parent had used
-    OpenBLAS, with ``OPENBLAS_NUM_THREADS`` at 1, 2 and unset, did not hang.
+    idle.
     """
     children: dict[int, tuple[int, int]] = {}
     others = _other_cpus() if parts > 1 else None
@@ -62,6 +59,10 @@ def in_parts(job, parts: int) -> list:
                 got = job(i)
             results.append(got)
         return results
+    except BaseException:
+        for pid, _ in children.values():  # unreaped, so no pid has been reused
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for _, fd in children.values():  # first, so that a writing child sees EPIPE
             os.close(fd)

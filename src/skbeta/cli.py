@@ -7,11 +7,7 @@ All outputs are deterministic given (input bytes, config, seed); machine
 files carry full-precision numbers, only the human-readable summary rounds.
 Every subcommand and every pipeline section is one section function whose
 files ``_emit`` writes; a section that fails writes none.  After the S/K
-points, ``pipeline`` runs its rank-size, Beta and simulation sections in a
-forked child (``_fork.in_parts``) while the parent runs the pooled and group
-stats and K-S fits, when there are at least ``_FORK_MIN_POINTS`` S/K points
-and two usable CPUs; otherwise the parent runs both chains, one after the
-other, through the same code.  The outputs are the same either way.
+points, ``pipeline`` runs its sections one after the other, in manifest order.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import sys
 from pathlib import Path
 
 from . import __version__, betadist, ksfit, moments, ranksize, synthetic, urnsim
-from ._fork import in_parts, usable_cpus
 from .errors import (
     EmptyResultError,
     InsufficientDataError,
@@ -338,17 +333,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# S/K points from which ``pipeline`` runs its chain 1 in a forked child.  A
-# trivial fork and reap takes ~2.5-2.8 ms.  The chains' wall time in fresh
-# processes, serial -> forked, median of 20 alternating pairs on a 2-vCPU host
-# with one BLAS thread (``OPENBLAS_NUM_THREADS=1``): 500 points 23.5 -> 22.3
-# ms (14/20 won), 1000 33.1 -> 26.3 ms (19/20), 2000 61.9 -> 38.6 ms (20/20),
-# 4000 91.8 -> 56.9 ms (19/20).  With OpenBLAS's default thread count (2 there)
-# the fork gains less: 29.8 -> 29.2, 47.0 -> 32.6, 78.5 -> 49.7 and 112.7 ->
-# 99.5 ms (11, 20, 19, 13/20); at 8000 points 174 -> 172 ms (9/12 pairs).
-_FORK_MIN_POINTS = 2000
-
-
 def cmd_pipeline(args) -> int:
     keys = {"min_n", "bins", "seed", "simulate", *(f"sim_{f}" for f in _URN_FIELDS)}
     config_file = _read_config(args.config, keys)
@@ -370,8 +354,10 @@ def cmd_pipeline(args) -> int:
         dataset = parse_city_csv(args.input, _column_map(args))
         source = str(args.input)
 
-    def run(rows: list, name: str, unmet: str, section, *inputs):
-        """Append to ``rows`` the row of ``section(*inputs)``: ``ok`` and the
+    sections: list[tuple[str, str, list[str]]] = []
+
+    def run(name: str, unmet: str, section, *inputs):
+        """Append the manifest row of ``section(*inputs)``: ``ok`` and the
         files it wrote, or why it was skipped: ``unmet`` (a missing input) or
         the error."""
         result, files, status = None, [], f"skipped: {unmet}"
@@ -383,7 +369,7 @@ def cmd_pipeline(args) -> int:
                 raise
             except (SkbetaError, ValueError) as exc:
                 status = f"skipped: {exc}"
-        rows.append((name, status, files))
+        sections.append((name, status, files))
         return result
 
     try:
@@ -392,40 +378,24 @@ def cmd_pipeline(args) -> int:
         groups = moments.GroupSKResult((), exc.skipped)
     points = groups.points
     no_points = "" if points else "insufficient group sizes"
-
-    def chain(i: int) -> list:
-        """The manifest rows of chain 0 (pooled and group stats, K-S fits) or
-        chain 1 (rank fits, Beta sections, simulation), in manifest order.
-        Chain 1 may run in a forked child beside chain 0; only its CDFs raise
-        past ``run`` (``InternalCheckError``), and ``in_parts`` then reruns it
-        in the parent, which raises at the same point."""
-        rows: list[tuple[str, str, list[str]]] = []
-        if i == 0:
-            run(rows, "pooled_stats", "", _pooled_stats, dataset.values)
-            if points:
-                run(rows, "group_stats", "", _group_stats, groups, bins)
-            else:  # the skipped-groups report is still written, and listed
-                _, files = _emit(out, args.format, _skipped_groups, groups.skipped)
-                rows.append(("group_stats", f"skipped: {no_points}", files))
-            for model in ("quadratic", "power"):
-                run(rows, f"fit_{model}", no_points, _ks_fit, points, model)
-            return rows
-        series = (("s", [p.s for p in points]), ("k", [p.k for p in points]))
-        rank_fits = {
-            t: run(rows, f"rank_{t}", no_points, _rank_fit, vals, "lav4", f"rank_{t}")
-            for t, vals in series
-        }
-        for t, vals in series:
-            run(rows, f"beta_moments_{t}", no_points, _beta_moments, vals, f"beta_moments_{t}")
-        for t, _ in series:
-            unmet = no_points or ("" if rank_fits[t] else "lav4 fit unavailable")
-            run(rows, f"beta_rank_{t}", unmet, _beta_rank, rank_fits[t], f"beta_rank_{t}")
-        run(rows, "simulate", "" if do_sim else "not requested", _simulate, sim_cfg, None)
-        return rows
-
-    forked = len(points) >= _FORK_MIN_POINTS and usable_cpus() >= 2
-    chains = in_parts(chain, 2) if forked else [chain(0), chain(1)]
-    sections = [row for rows in chains for row in rows]
+    run("pooled_stats", "", _pooled_stats, dataset.values)
+    if points:
+        run("group_stats", "", _group_stats, groups, bins)
+    else:  # the skipped-groups report is still written, and listed
+        _, files = _emit(out, args.format, _skipped_groups, groups.skipped)
+        sections.append(("group_stats", f"skipped: {no_points}", files))
+    for model in ("quadratic", "power"):
+        run(f"fit_{model}", no_points, _ks_fit, points, model)
+    series = (("s", [p.s for p in points]), ("k", [p.k for p in points]))
+    rank_fits = {
+        t: run(f"rank_{t}", no_points, _rank_fit, vals, "lav4", f"rank_{t}") for t, vals in series
+    }
+    for t, vals in series:
+        run(f"beta_moments_{t}", no_points, _beta_moments, vals, f"beta_moments_{t}")
+    for t, _ in series:
+        unmet = no_points or ("" if rank_fits[t] else "lav4 fit unavailable")
+        run(f"beta_rank_{t}", unmet, _beta_rank, rank_fits[t], f"beta_rank_{t}")
+    run("simulate", "" if do_sim else "not requested", _simulate, sim_cfg, None)
 
     failed, _ = _emit(out, args.format, _manifest, sections, source, seed, min_n, bins)
     return EmptyResultError.exit_code if failed else 0

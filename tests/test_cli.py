@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import json
 import os
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import skbeta
-from skbeta import betadist, cli, ksfit, moments, ranksize, urnsim
+from skbeta import betadist, cli, ksfit, moments, urnsim
 from skbeta.cli import main
 from skbeta.errors import InternalCheckError, SkbetaError
 from skbeta.ingest import GroupedDataset, bundled_fixture_path, write_grouped_csv
@@ -801,6 +800,27 @@ class TestNumericRange:
         assert "status: complete" in (out / "manifest.txt").read_text()
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("e", [-1000, -300, 300])
+    def test_pipeline_files_are_scale_free_by_powers_of_two(self, tmp_path, capsys, e):
+        """Values times 2**e give the same files, bit for bit, but the pooled
+        summary (in the values' units) and the manifests' source line."""
+        ds = synthetic_grouped_dataset(seed=3)
+        runs = []
+        for name, factor in (("unit", 1.0), ("scaled", 2.0**e)):
+            src = tmp_path / f"{name}.csv"
+            write_grouped_csv(GroupedDataset({g: np.multiply(v, factor) for g, v in ds.groups.items()}), src)
+            out = tmp_path / name
+            rc = run_cli("pipeline", "--input", str(src), "--out-dir", str(out), "--format", "json")
+            files = _tree(out)
+            for manifest in ("manifest.txt", "manifest.json"):
+                lines = files[manifest].decode().splitlines()
+                files[manifest] = [line for line in lines if str(src) not in line]
+            for pooled in ("pooled_summary.txt", "pooled_stats.json"):
+                files[pooled] = None
+            runs.append((rc, capsys.readouterr().err, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 3 and "fit_power.json" in runs[0][2]
+
     @pytest.mark.parametrize("scale", [1e-300, 1e200])
     def test_rank_fit_is_scale_free(self, tmp_path, scale):
         noise = np.random.default_rng(17).lognormal(0, 0.05, 110)
@@ -954,30 +974,13 @@ def test_second_call_in_a_process_matches_a_lone_run(tmp_path):
     assert "sk_points.csv" in _tree(second)
 
 
-@contextlib.contextmanager
-def section_fork(cpus=2, min_points=16):
-    """Run ``pipeline``'s chain 1 (rank-size, Beta and simulation sections)
-    in a forked child from ``min_points`` S/K points, with ``cpus`` usable
-    CPUs.  Yields a spy on ``os.fork``."""
-    with mock.patch.object(cli, "_FORK_MIN_POINTS", min_points), mock.patch.object(
-        os, "sched_getaffinity", lambda pid: set(range(cpus))
-    ), mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        yield fork
+def _no_fork():
+    return mock.patch.object(os, "fork", side_effect=AssertionError("forked"))
 
 
-def _no_fork(error=AssertionError("forked")):
-    return mock.patch.object(os, "fork", side_effect=error)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestSectionFork:
-    """Large pipeline calls run chain 1 (rank-size, Beta and simulation
-    sections) in a forked child; every out-dir, exit code and stderr is the
-    serial path's."""
+class TestSerialSections:
+    """``pipeline`` runs every section in the caller's process, one after the
+    other, in manifest order."""
 
     @pytest.fixture
     def src(self, tmp_path):
@@ -997,175 +1000,71 @@ class TestSectionFork:
         return path
 
     @staticmethod
-    def both(tmp_path, capsys, src, *flags):
-        """(exit code, stderr, files) of the serial and the forked run."""
-        runs = []
-        for forked in (False, True):
-            out = tmp_path / ("forked" if forked else "serial")
-            argv = ["pipeline", "--input", str(src), "--out-dir", str(out), *flags]
-            if forked:
-                with section_fork() as fork:
-                    rc = run_cli(*argv)
-                assert fork.call_count == 1
-            else:
-                with _no_fork():
-                    rc = run_cli(*argv)
-            runs.append((rc, capsys.readouterr().err, _tree(out) if out.exists() else {}))
-        _no_child_left()
-        return runs
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("simulate", [[], ["--simulate"]])
-    def test_forked_out_dir_is_the_serial_one(self, tmp_path, capsys, src, fmt, simulate):
-        serial, forked = self.both(tmp_path, capsys, src, "--format", fmt, *simulate)
-        assert serial == forked
-        assert serial[0] == 0 and "beta_rank_k_cdf.csv" in serial[2]
+    def pipeline(tmp_path, capsys, src, *flags):
+        """(exit code, stderr, files) of a ``pipeline`` run that may not fork."""
+        out = tmp_path / "out"
+        with _no_fork():
+            rc = run_cli("pipeline", "--input", str(src), "--out-dir", str(out), *flags)
+        return rc, capsys.readouterr().err, _tree(out) if out.exists() else {}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_skipped_section_exit_3(self, tmp_path, capsys, skewed, fmt):
-        serial, forked = self.both(tmp_path, capsys, skewed, "--format", fmt)
-        assert serial == forked
-        assert serial[0] == 3
-        manifest = serial[2]["manifest.txt"].decode()
+        rc, _, files = self.pipeline(tmp_path, capsys, skewed, "--format", fmt)
+        assert rc == 3
+        manifest = files["manifest.txt"].decode()
         assert "  rank_s: skipped: rank fit requires positive values" in manifest
         assert "  beta_rank_s: skipped: lav4 fit unavailable\n" in manifest
 
-    def test_internal_check_error_in_the_child_chain_exits_5(
-        self, tmp_path, capsys, monkeypatch, src
-    ):
+    def test_internal_check_error_in_a_cdf_exits_5(self, tmp_path, capsys, monkeypatch, src):
         def fail(params, n_points=512):
             raise InternalCheckError("continued fraction did not converge")
 
         monkeypatch.setattr(betadist, "cdf_curve_csv", fail)
-        serial, forked = self.both(tmp_path, capsys, src)
-        assert serial == forked
-        rc, err, files = serial
+        rc, err, files = self.pipeline(tmp_path, capsys, src)
         assert (rc, err) == (5, "internal error: continued fraction did not converge\n")
         assert {"fit_power.txt", "rank_s.txt", "rank_k_series.csv"} <= set(files)
         assert "beta_moments_s.txt" not in files and "manifest.txt" not in files
 
-    @pytest.mark.parametrize("failure", ["raise", "exit", "short"])
-    def test_failed_child_chain_is_run_by_the_parent(
-        self, tmp_path, capsys, monkeypatch, cut_stream, src, failure
+    def test_pooled_stats_first_and_simulate_last_in_the_callers_process(
+        self, tmp_path, capsys, monkeypatch, src
     ):
-        parent, fit, parent_fits = os.getpid(), ranksize.fit_rank_model, []
-
-        def fit_in_child(*args):
-            if os.getpid() == parent:
-                parent_fits.append(args[1])
-            elif failure == "raise":
-                raise RuntimeError("child failed")
-            elif failure == "exit":
-                os._exit(3)
-            return fit(*args)
-
-        monkeypatch.setattr(ranksize, "fit_rank_model", fit_in_child)
-        if failure == "short":  # the child's pickle is cut
-            cut_stream()
-        serial, forked = self.both(tmp_path, capsys, src)
-        assert serial == forked and serial[0] == 0
-        assert len(parent_fits) == 4  # rank_s and rank_k, serially and in the rerun
-
-    def test_failed_fork_runs_the_chain_in_the_parent(self, tmp_path, capsys, src):
-        out = tmp_path / "serial"
-        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 0
-        failed = tmp_path / "failed"
-        with section_fork(), _no_fork(BlockingIOError(11, "EAGAIN")):
-            assert run_cli("pipeline", "--input", str(src), "--out-dir", str(failed)) == 0
-        assert _tree(failed) == _tree(out)
-        assert capsys.readouterr().err == ""
-
-    def test_one_usable_cpu_never_forks(self, tmp_path, src):
-        out, one = tmp_path / "serial", tmp_path / "one"
-        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 0
-        with section_fork(cpus=1), _no_fork():
-            assert run_cli("pipeline", "--input", str(src), "--out-dir", str(one)) == 0
-        assert _tree(one) == _tree(out)
-
-    def test_below_the_point_floor_never_forks(self, tmp_path, src):
-        with section_fork(min_points=25), _no_fork():
-            assert run_cli("pipeline", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 0
-
-    def test_no_child_is_left_unreaped(self, tmp_path, src):
-        with section_fork() as fork:
-            assert run_cli("pipeline", "--input", str(src), "--out-dir", str(tmp_path / "o")) == 0
-        assert fork.call_count == 1
-        _no_child_left()
-
-    @pytest.mark.parametrize("forked", [False, True])
-    def test_pooled_stats_in_the_parent_and_simulate_in_chain_1(
-        self, tmp_path, monkeypatch, src, forked
-    ):
-        """Every section runs in one of the two chains: ``pooled_stats`` first
-        in the parent's, ``simulate`` last in the other, which is the forked
-        child's when the run forks."""
-        log = tmp_path / "calls"
+        pids = {}
 
         def spy(name, section):
             def logged(*inputs):
-                with open(log, "a") as fh:
-                    fh.write(f"{name} {os.getpid()}\n")
+                pids[name] = os.getpid()
                 return section(*inputs)
 
             return logged
 
         for name in ("pooled_stats", "simulate"):
             monkeypatch.setattr(cli, f"_{name}", spy(name, getattr(cli, f"_{name}")))
-        out = tmp_path / "out"
-        argv = ("pipeline", "--input", str(src), "--out-dir", str(out), "--simulate")
-        with (section_fork() if forked else _no_fork()) as fork:
-            assert run_cli(*argv) == 0
-        assert fork.call_count == forked
-        _no_child_left()
-        pids = dict(line.split() for line in log.read_text().splitlines())
-        assert pids["pooled_stats"] == str(os.getpid())
-        assert (pids["simulate"] == str(os.getpid())) is not forked
-        lines = (out / "manifest.txt").read_text().splitlines()
+        rc, _, files = self.pipeline(tmp_path, capsys, src, "--simulate")
+        assert rc == 0
+        assert pids == {"pooled_stats": os.getpid(), "simulate": os.getpid()}
+        lines = files["manifest.txt"].decode().splitlines()
         names = [line.split(":")[0].strip() for line in lines if line.startswith("  ") and line[2] != " "]
         assert names[0] == "pooled_stats" and names[-1] == "simulate"
 
-    def test_pooled_overflow_in_a_forked_run_raises_and_reaps(self, tmp_path, src):
-        """The pooled variance of values near 1e200 overflows in the parent's
-        chain.  Serially that raises before any file is written; forked, the
-        child has written its chain's files by then and is reaped."""
+    def test_pooled_overflow_raises_before_any_file(self, tmp_path, src):
+        """The pooled variance of values near 1e200 overflows in the first
+        section, so the call raises and leaves no out-dir."""
         huge = tmp_path / "huge.csv"
         lines = src.read_text().splitlines()
         rows = (line.rsplit(",", 1) for line in lines[1:])
         huge.write_text(lines[0] + "\n" + "".join(f"{k},{float(v) * 1e200!r}\n" for k, v in rows))
-        serial, forked = tmp_path / "serial", tmp_path / "forked"
+        out = tmp_path / "out"
         with _no_fork(), pytest.raises(OverflowError, match="variance"):
-            run_cli("pipeline", "--input", str(huge), "--out-dir", str(serial))
-        assert not serial.exists()
-        with section_fork() as fork, pytest.raises(OverflowError, match="variance"):
-            run_cli("pipeline", "--input", str(huge), "--out-dir", str(forked))
-        assert fork.call_count == 1
-        _no_child_left()
-        files = set(_tree(forked))
-        assert {"rank_s.txt", "beta_rank_k_cdf.csv"} <= files
-        assert "pooled_summary.txt" not in files and "manifest.txt" not in files
+            run_cli("pipeline", "--input", str(huge), "--out-dir", str(out))
+        assert not out.exists()
 
-    def test_forked_lapack_with_two_blas_threads_returns(self, tmp_path, src):
-        serial = tmp_path / "serial"
-        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(serial)) == 0
-        script = (
-            "import os, sys\n"
-            "import numpy as np\n"
-            "from skbeta import cli\n"
-            "x = np.random.default_rng(0).normal(size=(400, 400))\n"
-            "np.linalg.pinv(x @ x)  # the BLAS threads are up before the fork\n"
-            "cli._FORK_MIN_POINTS = 16\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "real_fork, forks = os.fork, []\n"
-            "os.fork = lambda: forks.append(1) or real_fork()\n"
-            "rc = cli.main(sys.argv[1:])\n"
-            "sys.exit(rc if forks == [1] else 9)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(skbeta.__file__).parents[1]))
-        env["OPENBLAS_NUM_THREADS"] = "2"
-        forked = tmp_path / "forked"
-        argv = ["pipeline", "--input", str(src), "--out-dir", str(forked)]
-        done = subprocess.run(
-            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert _tree(forked) == _tree(serial)
+    def test_many_groups_never_fork(self, tmp_path, capsys):
+        """2400 groups of 30-60 values, under the 8 MiB from which the parse forks."""
+        rng = np.random.default_rng(2)
+        groups = {f"M{g:04d}": rng.lognormal(10.0, 1.2, rng.integers(30, 61)) for g in range(2400)}
+        src = tmp_path / "many_groups.csv"
+        write_grouped_csv(GroupedDataset(groups, "value"), src)
+        assert src.stat().st_size < 8 << 20
+        rc, err, files = self.pipeline(tmp_path, capsys, src)
+        assert (rc, err) == (0, "")
+        assert files["sk_points.csv"].decode().count("\n") == 2401

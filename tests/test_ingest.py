@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skbeta import ingest
+from skbeta import _fork, ingest
 from skbeta.cli import main
 from skbeta.errors import (
     EmptyInputError,
@@ -927,6 +928,26 @@ class TestForkedPartsRobustness:
         with in_parts(3) as fork:
             parse_city_csv(path)
         assert fork.call_count == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where", ["job 0", "receive"])
+    def test_a_raise_in_the_parent_kills_the_children(self, where):
+        """Once job 0 or a receive raises, no child's result is used:
+        ``in_parts`` kills job 1's child, which would sleep for 30 s."""
+
+        def job(i):
+            if i == 0 and where == "job 0":
+                raise RuntimeError("failed")
+            if i == 1:
+                time.sleep(30)
+
+        receive = mock.patch.object(_fork, "_receive", side_effect=RuntimeError("failed"))
+        start = time.monotonic()
+        with receive if where == "receive" else contextlib.nullcontext():
+            with pytest.raises(RuntimeError, match="failed"):
+                _fork.in_parts(job, 2)
+        assert time.monotonic() - start < 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

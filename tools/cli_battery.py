@@ -16,9 +16,8 @@ every province key quoted and the same file with only its header quoted,
 a seeded one whose province keys are not ASCII,
 a small seeded one with a BOM and every field quoted (an escaped quote, a
 quoted delimiter and a quoted line break among them, a blank line and a
-lone CR), a seeded one with 2400 groups (enough S/K points that
-``pipeline`` runs its rank-size, Beta and, with ``--simulate``, simulation
-sections in a forked child on such a host), the all-equal tiny file, the
+lone CR), a seeded one with 2400 groups (2400 S/K points through every
+``pipeline`` section, with ``--simulate`` too), the all-equal tiny file, the
 bundled province table, the S/K points of ``pipeline --synthetic --seed 0``
 and the same points with K scaled by 1e-300 and 1e200.  Two checkouts'
 batteries compare with ``diff -r``.
@@ -142,8 +141,7 @@ def make_inputs(root: Path, src: Path) -> None:
         for g in range(3) for name in names for i in range(20 + rng.randrange(40))
     ]
     (inputs / "utf8_keys.csv").write_text("province,city,value\n" + "".join(rows), encoding="utf-8")
-    # 2400 groups of 30-60 values: above the S/K point count from which
-    # ``pipeline`` runs its second chain of sections in a forked child
+    # 2400 groups of 30-60 values: S/K series of 2400 points
     rng = random.Random(2)
     rows = [
         f"M{g:04d},c{i},{rng.lognormvariate(10.0, 1.2)!r}\n"

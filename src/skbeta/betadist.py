@@ -275,10 +275,14 @@ def help_variable(s: float, k: float) -> float:
 def calibrate_from_sk(s: float, k: float) -> BetaCalibration:
     """Invert a (skewness, kurtosis) pair to Beta shape parameters.
 
-    The shape-parameter sum is the help variable rho; the product follows
-    from the kurtosis; the individual parameters are the roots of
-    ``x (rho - x) = ab``.  When the skewness is positive the larger root is
-    b, when negative it is a, and the roots coincide for a symmetric pair.
+    The shape-parameter sum is the help variable rho, and the roots of
+    ``x (rho - x) = ab`` follow from rho and S alone.  The Beta skewness
+    gives S^2 (rho+2)^2 ab = 4 (rho+1) (rho^2 - 4ab); with t = |S| (rho+2),
+    u = 4 sqrt(rho+1) and h = hypot(t, u), (b - a) / rho = t / h, so the
+    roots are rho (1 + t/h) / 2 and rho (u/h) (u/(h+t)) / 2.  No term
+    cancels, and the roots are equal for S = 0.  When the skewness is
+    negative the larger root is a, else b.  The kurtosis enters through rho
+    and the round trip, which must close to 1e-9.
     """
     rho = help_variable(s, k)
     if rho <= 0.0:
@@ -286,60 +290,26 @@ def calibrate_from_sk(s: float, k: float) -> BetaCalibration:
             f"moment pair (S, K) = ({s}, {k}) implies a + b = {rho} <= 0",
             rho=rho,
         )
-    denom = (rho + 2.0) * (rho + 3.0) * k - 3.0 * (rho - 6.0) * (rho + 1.0)
-    if denom <= 0.0:
+    t, u = abs(s) * (rho + 2.0), 4.0 * math.sqrt(rho + 1.0)
+    h = math.hypot(t, u)
+    root_hi = 0.5 * rho * (1.0 + t / h)
+    root_lo = 0.5 * rho * (u / h) * (u / (h + t))  # rho u^2 / (2h (h+t)) overflows
+    ab = root_lo * root_hi
+    diagnosis = {"rho": rho, "discriminant": (t / h) ** 2, "ab": ab}
+    if not ab > 0.0:  # an underflow, or NaN
         raise InfeasibleMomentPairError(
-            f"shape-product denominator {denom} <= 0 for (S, K) = ({s}, {k})",
-            rho=rho,
+            f"shape product ab = {ab} is not positive for (S, K) = ({s}, {k})", **diagnosis
         )
-    ab = 6.0 * rho * rho * (rho + 1.0) / denom
-    if ab <= 0.0:
-        raise InfeasibleMomentPairError(
-            f"shape product ab = {ab} <= 0 for (S, K) = ({s}, {k})",
-            rho=rho,
-            ab=ab,
-        )
-    disc = 1.0 - 4.0 * ab / (rho * rho)
-    if disc < 0.0:
-        if disc < -1e-12:
-            raise InfeasibleMomentPairError(
-                f"negative discriminant {disc} for (S, K) = ({s}, {k})",
-                rho=rho,
-                discriminant=disc,
-                ab=ab,
-            )
-        disc = 0.0  # symmetric pair up to roundoff
-    root_hi = 0.5 * rho * (1.0 + math.sqrt(disc))
-    root_lo = ab / root_hi  # rho (1 - sqrt(disc)) / 2 cancels when ab << rho^2
-
-    if s > 0.0:
-        a_sel, b_sel = root_lo, root_hi
-    elif s < 0.0:
-        a_sel, b_sel = root_hi, root_lo
-    else:
-        a_sel = b_sel = 0.5 * rho
-
-    try:
-        selected = BetaParams(a_sel, b_sel)
-    except ValueError as exc:
-        raise InfeasibleMomentPairError(
-            f"selected root is not positive for (S, K) = ({s}, {k}): {exc}",
-            rho=rho,
-            discriminant=disc,
-            ab=ab,
-        ) from exc
-
+    selected = BetaParams(*((root_hi, root_lo) if s < 0.0 else (root_lo, root_hi)))
     s_back = beta_skewness(selected)
     k_back = beta_kurtosis(selected)
-    if abs(s_back - s) > 1e-9 * max(1.0, abs(s)) or abs(k_back - k) > 1e-9 * max(
-        1.0, abs(k)
+    if not (
+        abs(s_back - s) <= 1e-9 * max(1.0, abs(s)) and abs(k_back - k) <= 1e-9 * max(1.0, abs(k))
     ):
         raise InfeasibleMomentPairError(
             f"inversion did not close for (S, K) = ({s}, {k}); "
             f"round trip gave ({s_back}, {k_back})",
-            rho=rho,
-            discriminant=disc,
-            ab=ab,
+            **diagnosis,
         )
     return BetaCalibration(
         s_in=float(s),
@@ -398,7 +368,9 @@ def _ln_beta(a: float, b: float) -> float:
 
 
 def yule_simon_pmf(k: int, b: float) -> float:
-    """Yule-Simon pmf b * B(k, b + 1) on k >= 1: the urn limit law at k0 = 1, a = 0."""
+    """Yule-Simon pmf b * B(k, b + 1) on k >= 1: the urn limit law at k0 = 1,
+    a = 0.  b itself is the law's b - 1 term, not (b + 1) - 1, so the pmf is
+    exact to rounding at small b."""
     k = operator.index(k)
     if k < 1:
         raise ValueError(f"yule_simon_pmf requires k >= 1, got {k}")

@@ -386,7 +386,8 @@ def cmd_pipeline(args) -> int:
         sections.append(("group_stats", f"skipped: {no_points}", files))
     for model in ("quadratic", "power"):
         run(f"fit_{model}", no_points, _ks_fit, points, model)
-    series = (("s", [p.s for p in points]), ("k", [p.k for p in points]))
+    # ascending, as ``rank_ascending`` orders them: the Beta moments do not see the group order
+    series = (("s", sorted(p.s for p in points)), ("k", sorted(p.k for p in points)))
     rank_fits = {
         t: run(f"rank_{t}", no_points, _rank_fit, vals, "lav4", f"rank_{t}") for t, vals in series
     }

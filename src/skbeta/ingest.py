@@ -116,13 +116,13 @@ def _open(path):
 def read_lines(path) -> Iterator[Iterator[str]]:
     """The ``str.splitlines`` lines of a UTF-8 file, less a leading BOM, read
     a chunk at a time; a missing, unreadable or non-UTF-8 file is a
-    ParseError.  Where the ``with`` body raises a package or ``csv`` error,
-    the rest of the file is decoded first: an undecodable byte anywhere wins."""
+    ParseError.  Where the ``with`` body raises a package error, the rest of
+    the file is decoded first: an undecodable byte anywhere wins."""
     with _open(path) as fh:
         lines = _lines(path, _chunks(fh), [0])
         try:
             yield lines
-        except (SkbetaError, csv.Error):
+        except SkbetaError:
             for _ in lines:
                 pass
             raise
@@ -132,15 +132,26 @@ def read_lines(path) -> Iterator[Iterator[str]]:
 def _read_rows(path):
     """The stripped header, and an iterator over ``(line number, cells)`` of
     the later rows (see ``read_lines``).  All-blank rows are skipped; line
-    numbers count every physical line, blank ones included."""
+    numbers count every physical line, blank ones included.  A ``csv`` error
+    (a field past ``csv``'s field size limit, say) is a line-numbered
+    ParseError."""
     with read_lines(path) as lines:
         first = next(lines, "")
         reader = csv.reader(itertools.chain([first], lines), delimiter=_detect_delimiter(first))
-        rows = ((reader.line_num, row) for row in reader if any(map(str.strip, row)))
+        rows = _csv_rows(path, reader)
         header = next(rows, None)
         if header is None:
             raise EmptyInputError(f"{path}: file is empty")
         yield [h.strip() for h in header[1]], rows
+
+
+def _csv_rows(path, reader):
+    try:
+        for row in reader:
+            if any(map(str.strip, row)):
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _columns(path, header: list[str], names) -> list[int]:
@@ -217,9 +228,8 @@ def parse_city_csv(path, column_map: Mapping[str, str] | None = None) -> Grouped
             parts = [_part(path, cuts[0], cuts[-1], layout, group, values, False)]
         line = 1  # the header's
         for *_, lines, fault in parts:
-            if fault:  # a message, or a csv.Error
-                line, error = line + fault[0], fault[1]
-                raise ParseError(f"{path}: line {line}: {error}") if isinstance(error, str) else error
+            if fault:
+                raise ParseError(f"{path}: line {line + fault[0]}: {fault[1]}")
             line += lines
     return _dataset(path, parts, group, values, slices, label)
 
@@ -283,9 +293,9 @@ def _part(path, start: int, end: int, layout, group, values, sentinel: bool):
     (``_fill``) with a blank ``sentinel`` line after the last where a part
     follows.  Returns ``(keys, rows, extra, lines, fault)``: the keys in
     order of first appearance, the rows, the extra (codes, values), the
-    lines, and None or the first fault ``(line, message or csv.Error)``,
-    lines counted from 1 at ``start``; message None says that a quoted field
-    runs on past ``end``.  An undecodable byte raises, after a fault too."""
+    lines, and None or the first fault ``(line, message)``, lines counted
+    from 1 at ``start``; message None says that a quoted field runs on past
+    ``end``.  An undecodable byte raises, after a fault too."""
     delim, width, columns, bom = layout
     codes: dict[str, int] = {}
     extra = array("q"), array("d")
@@ -309,7 +319,7 @@ def _part(path, start: int, end: int, layout, group, values, sentinel: bool):
         try:
             row, fault = _fill(rows, columns, codes, group, values, row, extra, count)
         except csv.Error as exc:
-            fault = base + reader.line_num, exc
+            fault = base + reader.line_num, str(exc)
         if fault:
             for _ in lines:  # a byte that is not UTF-8 later on wins
                 pass

@@ -223,6 +223,10 @@ class TestBetaCdf:
         assert beta_cdf(0.0, p) == 0.0
         assert beta_cdf(1.0, p) == 1.0
 
+    def test_curve_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            cdf_curve(BetaParams(1, 1), 1)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             beta_cdf(-0.01, BetaParams(1, 1))
@@ -387,6 +391,53 @@ class TestCalibration:
         assert beta_skewness(cal.selected) == pytest.approx(s, rel=1e-12)
         assert beta_kurtosis(cal.selected) == pytest.approx(k, rel=1e-12)
 
+    @pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("b0", [0.5, 2.0, 50.0])
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_near_symmetric_pair(self, b0, delta, flip):
+        # b - a = b0 delta is what S carries; a root split through
+        # 1 - 4ab/rho^2 cancelled it away (a = b at delta = 1e-10)
+        a, b = (b0 * (1.0 + delta), b0) if flip else (b0, b0 * (1.0 + delta))
+        p = BetaParams(a, b)
+        sel = calibrate_from_sk(beta_skewness(p), beta_kurtosis(p)).selected
+        assert (sel.a, sel.b) == (pytest.approx(a, rel=1e-13), pytest.approx(b, rel=1e-13))
+        assert sel.b - sel.a == pytest.approx(b - a, rel=1e-5)
+
+    def test_symmetric_pair_has_equal_roots(self):
+        cal = calibrate_from_sk(0.0, 2.05)
+        assert cal.roots[0] == cal.roots[1] == cal.selected.a == cal.selected.b == 0.5 * cal.rho
+
+    def test_near_normal_pair(self):
+        # the float skewness and kurtosis of Beta(255000, 256000)
+        cal = calibrate_from_sk(1.0950354976675177e-05, 2.9999882585658235)
+        assert cal.selected.a == pytest.approx(255000.0, rel=1e-10)
+        assert cal.selected.b == pytest.approx(256000.0, rel=1e-10)
+
+    def test_every_pair_closes_or_raises_a_typed_error(self):
+        """Seeded (S, K) pairs over four regimes: |S| from 1e-300 to 1e154,
+        near the Pearson bound K = 1 + S^2, near the Gamma line K = 3 +
+        1.5 S^2, and ordinary pairs."""
+        rng = np.random.default_rng(2018)
+        n = 1000
+        sign = rng.choice([-1.0, 1.0], n)
+        s = sign * 10.0 ** rng.uniform(-300, 154, n)
+        pairs = list(zip(s, 1.0 + s * s + rng.uniform(0, 1, n) * (2.0 + 0.5 * s * s)))
+        s = sign * 10.0 ** rng.uniform(-8, 3, n)
+        for bound, factor in ((1.0 + s * s, 1.0), (3.0 + 1.5 * s * s, -1.0)):
+            eps = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-17, -1, n)
+            pairs += zip(s, bound * (1.0 + factor * eps))
+        pairs += zip(rng.uniform(-3, 3, n), rng.uniform(1, 20, n))
+        closed = 0
+        for s, k in pairs:
+            try:
+                cal = calibrate_from_sk(float(s), float(k))
+            except (InfeasibleMomentPairError, NotBetaRepresentableError):
+                continue
+            closed += 1
+            assert 0.0 < cal.selected.a < math.inf and 0.0 < cal.selected.b < math.inf
+            assert beta_skewness(cal.selected) == pytest.approx(s, rel=1e-9, abs=1e-9)
+        assert closed > len(pairs) // 3
+
 
 class TestYuleSimon:
     def test_first_mass(self):
@@ -447,6 +498,10 @@ class TestUrnLimitPmf:
     def test_offset_domain(self):
         with pytest.raises(ValueError):
             urn_limit_pmf(5, 1, -1.0, 2.0)
+
+    def test_negative_k0(self):
+        with pytest.raises(ValueError, match="k0 >= 0, got -1"):
+            urn_limit_pmf(5, -1, 2.0, 2.0)
 
     @pytest.mark.parametrize("b", [1.5, 2.0, 3.7])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])

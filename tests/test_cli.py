@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -546,6 +547,36 @@ class TestExitCodes:
         assert run_cli("fit", "--input", str(src), "--model", "quadratic", "--out-dir", out) == 2
         assert "line 4" in capsys.readouterr().err
 
+    LONG = "x" * 200_000  # past csv's field size limit (131072)
+    ROWS = "".join(f"P{g},c{g}_{i},{1.5 + i + g}\n" for g in range(3) for i in range(10))
+
+    def test_long_field_in_row_mode_exits_2(self, tmp_path, capsys):
+        """A quoted cell sends the planned parse to row mode, which keeps
+        csv's field limit; unquoted, the column-wise parse reads the cell."""
+        src, out = tmp_path / "m.csv", tmp_path / "o"
+        src.write_text(f'province,city,value\n{self.ROWS}P0,"{self.LONG}",3.0\n')
+        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {src}: line 32: field larger than field limit (131072)\n"
+        assert not out.exists()
+        src.write_text(f"province,city,value\n{self.ROWS}P0,{self.LONG},3.0\n")
+        assert run_cli("pipeline", "--input", str(src), "--out-dir", str(out)) == 3
+
+    def test_long_field_from_a_pipe_exits_2(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(skbeta.__file__).parents[1]))
+        argv = ["stats", "--input", "/dev/stdin", "--out-dir", str(tmp_path / "o")]
+        done = subprocess.run([sys.executable, "-m", "skbeta.cli", *argv], env=env, capture_output=True,
+                              input=f"province,city,value\n{self.ROWS}P0,{self.LONG},3.0\n", text=True)
+        assert (done.returncode, done.stderr) == (
+            2, "error: /dev/stdin: line 32: field larger than field limit (131072)\n"
+        )
+
+    def test_long_group_key_in_points_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "skp.csv"
+        src.write_text(f"group,s,k,n\na,0.5,3.0,9\nb,1.0,5.0,9\nc,2.0,11.0,9\n{self.LONG},3.0,21.0,9\n")
+        out = str(tmp_path / "o")
+        assert run_cli("fit", "--input", str(src), "--model", "quadratic", "--out-dir", out) == 2
+        assert capsys.readouterr().err == f"error: {src}: line 5: field larger than field limit (131072)\n"
+
     def test_zero_bins_exits_2_before_output(self, tmp_path):
         src = tmp_path / "m.csv"
         src.write_text(MICRO)
@@ -820,6 +851,34 @@ class TestNumericRange:
             runs.append((rc, capsys.readouterr().err, files))
         assert runs[0] == runs[1]
         assert runs[0][0] == 3 and "fit_power.json" in runs[0][2]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pipeline_files_do_not_see_the_group_order(self, tmp_path, capsys, fmt):
+        """Groups in another order give the same files, bit for bit, but
+        ``sk_points`` (the same rows in another order), the manifests' source
+        line and the pooled sums of ``pooled_stats.json`` (in file order)."""
+        groups = synthetic_grouped_dataset(seed=3).groups
+        order = list(groups)
+        random.Random(5).shuffle(order)
+        runs = []
+        for name, keys in (("file", list(groups)), ("shuffled", order)):
+            src = tmp_path / f"{name}.csv"
+            write_grouped_csv(GroupedDataset({g: groups[g] for g in keys}), src)
+            out = tmp_path / name
+            rc = run_cli("pipeline", "--input", str(src), "--out-dir", str(out), "--format", fmt)
+            files = _tree(out)
+            for manifest in {"manifest.txt", "manifest.json"} & set(files):
+                lines = files[manifest].decode().splitlines()
+                files[manifest] = [line for line in lines if str(src) not in line]
+            files["sk_points.csv"] = sorted(files["sk_points.csv"].splitlines())
+            if fmt == "json":
+                points = json.loads(files.pop("sk_points.json"))
+                files["sk_points"] = sorted(map(repr, points.pop("points"))), points
+                pooled = json.loads(files.pop("pooled_stats.json"))
+                files["pooled_stats"] = {k: pytest.approx(v, rel=1e-12) for k, v in pooled.items()}
+            runs.append((rc, capsys.readouterr().err, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 3 and f"beta_moments_k.{'txt' if fmt == 'csv' else 'json'}" in runs[0][2]
 
     @pytest.mark.parametrize("scale", [1e-300, 1e200])
     def test_rank_fit_is_scale_free(self, tmp_path, scale):

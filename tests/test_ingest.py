@@ -115,6 +115,16 @@ class TestParseCityCsv:
         assert ds.groups == {"AA": (7.0,)}
         assert ds.value_label == "ati"
 
+    def test_unknown_column_role(self, tmp_path):
+        path = write(tmp_path, "m.csv", "province,city,value\nAA,c,1\n")
+        with pytest.raises(SchemaError, match="unknown column role 'town' for column 'city'"):
+            parse_city_csv(path, {"province": "province", "city": "town", "value": "value"})
+
+    def test_unassigned_role(self, tmp_path):
+        path = write(tmp_path, "m.csv", "province,city,value\nAA,c,1\n")
+        with pytest.raises(SchemaError, match="does not assign a column to role 'value'"):
+            parse_city_csv(path, {"province": "province", "city": "city"})
+
     def test_city_role_optional(self, tmp_path):
         path = write(tmp_path, "m.csv", "province,value\nAA,1\nAA,2\n")
         ds = parse_city_csv(path, {"province": "province", "value": "value"})
@@ -336,6 +346,12 @@ class TestProvinceFixture:
     def test_non_finite_ati_rejected(self, tmp_path, cell):
         path = write(tmp_path, "s.csv", f"province,ati_eur,population,n_cities\nAA,1e9,5,2\nBB,{cell},5,2\n")
         with pytest.raises(ParseError, match=f"line 3: non-finite number '{cell}'"):
+            load_province_summary(path)
+
+    @pytest.mark.parametrize("population, n_cities, field", [(5, 0, "n_cities"), (0, 2, "n_inhab")])
+    def test_counts_below_one_rejected(self, tmp_path, population, n_cities, field):
+        path = write(tmp_path, "s.csv", f"province,ati_eur,population,n_cities\nAA,1e9,{population},{n_cities}\n")
+        with pytest.raises(ParseError, match=f"line 2: {field} must be >= 1, got 0"):
             load_province_summary(path)
 
     def test_missing_column_in_summary(self, tmp_path):

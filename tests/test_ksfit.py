@@ -114,6 +114,10 @@ class TestFitPower:
         assert r.nu == pytest.approx(NU_BRACKET[1], abs=1e-5)
         assert r.warnings and "boundary" in r.warnings[0]
 
+    def test_boundary_warning_in_the_text_block(self):
+        r = fit_power(pts([(s, 0.3 * s**5.0 + 1.0) for s in (1, 2, 3, 4, 5, 6)]))
+        assert result_block(r).endswith(f"\nr2_space: raw\nwarning: {r.warnings[0]}\n")
+
     def test_noisy_recovery_within_three_se(self):
         points = synthetic_sk_points(n=110, p=1.05, q=0.4, nu=2.0, noise=0.5, seed=2024)
         r = fit_power(points)

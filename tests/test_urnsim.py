@@ -388,6 +388,10 @@ class TestCountTable:
         # alpha = 0 has no limit law, so no TV runs over the hand-made k range
         assert f"max_size: {max(sizes)}\n" in sim_block(res, UrnConfig(alpha=0.0))
 
+    def test_no_urn(self):
+        with pytest.raises(ValueError, match="at least one urn"):
+            SimResult.from_sizes(())
+
     def test_equality_is_equal_sizes(self):
         assert SimResult.from_sizes([2, 1, 2]) == SimResult.from_sizes(np.array([2, 1, 2]))
         assert SimResult.from_sizes([2, 1, 2]) != SimResult.from_sizes([2, 2, 1])
@@ -418,6 +422,12 @@ class TestTailSlope:
         sim = SimResult.from_sizes([1, 1, 2, 2, 3])
         with pytest.raises(InsufficientDataError):
             empirical_tail_slope(sim, 1)
+
+    def test_one_log_bin(self):
+        # ten sizes within the first log bin above k_min
+        sim = SimResult.from_sizes(range(10**6, 10**6 + 10))
+        with pytest.raises(InsufficientDataError, match="only 1 nonempty log bins above k_min=1000000"):
+            empirical_tail_slope(sim, 10**6)
 
     @pytest.mark.parametrize("k_min", [0, -1, -5000])
     def test_k_min_below_one(self, simon_run, k_min):

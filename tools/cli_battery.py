@@ -4,7 +4,7 @@ Usage: python tools/cli_battery.py OUTDIR [SRC]
 
 SRC is the ``src`` directory of the checkout to run (default: the one next
 to this script), so one copy of this script can drive an older checkout too.
-Each of the 39 calls runs ``python -m skbeta.cli`` with OUTDIR as its working
+Each of the 43 calls runs ``python -m skbeta.cli`` with OUTDIR as its working
 directory and relative paths only, once with ``--format csv`` and once with
 ``--format json``; call NAME in format FMT writes into OUTDIR/NAME-FMT, and
 its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
@@ -18,9 +18,10 @@ a small seeded one with a BOM and every field quoted (an escaped quote, a
 quoted delimiter and a quoted line break among them, a blank line and a
 lone CR), a seeded one with 2400 groups (2400 S/K points through every
 ``pipeline`` section, with ``--simulate`` too), the all-equal tiny file, the
-bundled province table, the S/K points of ``pipeline --synthetic --seed 0``
-and the same points with K scaled by 1e-300 and 1e200.  Two checkouts'
-batteries compare with ``diff -r``.
+bundled province table, the S/K points of ``pipeline --synthetic --seed 0``,
+the same points with K scaled by 1e-300 and 1e200, and the same points with
+one group key of 200,000 characters.  Two checkouts' batteries compare with
+``diff -r``.
 Standard library only.
 """
 
@@ -76,6 +77,11 @@ CALLS = {
         "beta-calibrate", "--skew", "-1.0950354976675177e-05", "--kurt", "2.9999882585658235",
     ],
     "beta_calibrate_nan": ["beta-calibrate", "--skew", "nan", "--kurt", "3"],
+    "beta_calibrate_near_symmetric": ["beta-calibrate", "--skew", "1e-08", "--kurt", "2.05"],
+    "beta_calibrate_near_symmetric_negative": [
+        "beta-calibrate", "--skew", "-1e-07", "--kurt", "2.05",
+    ],
+    "beta_calibrate_symmetric": ["beta-calibrate", "--skew", "0", "--kurt", "2.05"],
     "simulate": ["simulate", "--steps", "200000", "--seed", "42"],
     "simulate_negative_shift": [
         "simulate", "--a-shift", "-0.5", "--steps", "50000", "--seed", "3", "--k-min", "5",
@@ -86,6 +92,7 @@ CALLS = {
     "fit_quadratic_k1e200": ["fit", "--input", "inputs/k1e200.csv", "--model", "quadratic"],
     "fit_power_k1e200": ["fit", "--input", "inputs/k1e200.csv", "--model", "power"],
     "rank_fit_lav4_k1e200": ["rank-fit", "--input", "inputs/k1e200.csv", "--target", "k"],
+    "fit_long_field": ["fit", "--input", "inputs/long_key.csv", "--model", "quadratic"],
 }
 
 
@@ -158,6 +165,9 @@ def make_inputs(root: Path, src: Path) -> None:
             group, s, k, n = line.split(",")
             scaled.append(f"{group},{s},{float(k) * scale!r},{n}\n")
         (inputs / f"k{label}.csv").write_text(header + "\n" + "".join(scaled))
+    # one group key past csv's field size limit (131072 characters)
+    lines[1] = "L" * 200_000 + lines[1][lines[1].index(",") :]
+    (inputs / "long_key.csv").write_text(header + "\n" + "\n".join(lines) + "\n")
 
 
 def main(argv: list[str]) -> int:

@@ -14,17 +14,18 @@ import numpy as np
 
 def separable_fit(columns, theta, y, lo=-np.inf, hi=np.inf, max_iter=200):
     """Variable projection (Golub & Pereyra 1973) for y ~ A(theta) @ coef:
-    ``(theta, coef, sse, stop, iterations)``.
+    ``(theta, coef, resid, sse, jac, stop, iterations)``.
 
     ``columns(theta)`` gives A (m x l) and dA/dtheta (k x m x l), or None or
     non-finite columns outside the model's domain (a start there is a
     ValueError).  Each step solves coef and takes Kaufman's (1975) Gauss-Newton
     step: the residual is orthogonal to A, so the theta part of its least
-    squares on [A, dA coef] is that step, and its fit is P_perp dA coef step.
+    squares on J = [A, dA coef] is that step, and its fit is P_perp dA coef step.
     The step is clipped to [lo, hi] and halved until the projected SSE drops.
     ``stop`` is "tolerance" once |fit|^2, the predicted decrease, is at most
     1e-12 SSE + ``rounding_floor(y)`` (the full step is then tried once), "no
     descent" after 40 halvings, or "max_iter"; ``iterations`` counts the steps.
+    ``jac`` is J at the returned theta: the Jacobian of A @ coef in (coef, theta).
     """
     def project(t):  # (coef, resid, sse, A, dA) at t, or None outside the domain
         cols = columns(t)
@@ -35,22 +36,22 @@ def separable_fit(columns, theta, y, lo=-np.inf, hi=np.inf, max_iter=200):
     if (state := project(theta)) is None:
         raise ValueError("the fit's start lies outside the model's domain")
     coef, resid, sse, a, da = state
-    floor = rounding_floor(y)
-    for it in range(1, max_iter + 1):
-        sol, rest, _ = lstsq(np.column_stack([a, np.einsum("kml,l->mk", da, coef)]), resid)
+    floor, stop = rounding_floor(y), None
+    for it in range(max_iter + 1):
+        jac = np.column_stack([a, np.einsum("kml,l->mk", da, coef)])
+        if stop or it == max_iter:
+            return theta, coef, resid, sse, jac, stop or "max_iter", it
+        sol, rest, _ = lstsq(jac, resid)
         step = sol[len(coef):]
         done = np.sum((resid - rest) ** 2) <= 1e-12 * sse + floor
+        stop = "tolerance" if done else "no descent"
         for lam in 0.5 ** np.arange(1 if done else 40):
             cand = np.clip(theta + lam * step, lo, hi)
             new = project(cand)
             if new is not None and new[2] < sse:
                 theta, (coef, resid, sse, a, da) = cand, new
+                stop = "tolerance" if done else None
                 break
-        else:
-            return theta, coef, sse, "tolerance" if done else "no descent", it
-        if done:
-            return theta, coef, sse, "tolerance", it
-    return theta, coef, sse, "max_iter", max_iter
 
 
 def unit_scale(y: np.ndarray):

@@ -2,8 +2,8 @@
 
 The quadratic model fixes nu = 2; the power model finds nu in [0.5, 4] by
 variable projection (``_numeric.separable_fit``, p and q projected out)
-from the best point of an 8-point grid.  At its nu each calls one core that
-solves the linear (p, q) problem.  Fitting happens in raw (K, S) space (the
+from the best point of an 8-point grid.  At its nu each hands one core the
+(p, q) least squares and its Jacobian.  Fitting happens in raw (K, S) space (the
 additive q, which can be negative, forbids log transforms) and R^2 is
 reported in raw space as well.  Both fits run on K times a power of two
 near its largest value, so they are scale-free in K.
@@ -63,13 +63,11 @@ def _canonical(points):
     return pts, np.array([p.s for p in pts]), y, e
 
 
-def _fit_at(model: str, pts, s, y, e: int, nu: float, warnings=()) -> KSFitResult:
-    """K = p S^nu + q with (p, q) by least squares at a given nu, on y = K * 2^-e;
-    a searched nu (the power model) adds its column to the standard errors' Jacobian."""
-    x = np.column_stack([s**nu, np.ones(len(pts))])
-    coef, resid, sse = lstsq(x, y)
-    searched = model == "power"
-    ses = std_errors(np.column_stack([x, coef[0] * x[:, 0] * np.log(s)]) if searched else x, sse)
+def _fit_at(model: str, pts, y, e: int, nu: float, coef, resid, sse, jac, warnings=()) -> KSFitResult:
+    """The result of the least squares ``coef, resid, sse`` of y = K * 2^-e at a
+    given nu, with standard errors from its Jacobian ``jac``: the columns
+    S^nu and 1, and for a searched nu (the power model) d K / d nu."""
+    ses = std_errors(jac, sse)
     r2 = r_squared(y, sse)
     p, q, se_p, se_q, sse = rescale([*coef, *ses[:2], sse], [1, 1, 1, 1, 2], e)
     return KSFitResult(
@@ -79,7 +77,7 @@ def _fit_at(model: str, pts, s, y, e: int, nu: float, warnings=()) -> KSFitResul
         nu=float(nu),
         se_p=se_p,
         se_q=se_q,
-        se_nu=float(ses[2]) if searched else 0.0,
+        se_nu=float(ses[2]) if len(ses) == 3 else 0.0,
         r_squared=r2,
         sse=sse,
         n_points=len(pts),
@@ -97,7 +95,8 @@ def fit_quadratic(points) -> KSFitResult:
         raise ValueError(f"quadratic fit needs at least 3 points, got {n}")
     if len(set((v * v) for v in s)) < 2:
         raise SingularDesignError("all S^2 values are equal; cannot fit p and q")
-    return _fit_at("quadratic", pts, s, y, e, 2.0)
+    x = np.column_stack([s**2, np.ones(n)])
+    return _fit_at("quadratic", pts, y, e, 2.0, *lstsq(x, y), x)
 
 
 def fit_power(points) -> KSFitResult:
@@ -126,11 +125,12 @@ def fit_power(points) -> KSFitResult:
         return np.column_stack([power, ones]), np.column_stack([power * log_s, zeros])[None]
 
     start = min(np.linspace(lo, hi, 8), key=lambda v: lstsq(columns([v])[0], y)[2])
-    nu = float(separable_fit(columns, [start], y, lo, hi)[0][0])
+    theta, *fit, _, _ = separable_fit(columns, [start], y, lo, hi)
+    nu = float(theta[0])
     warnings = []
     if nu - lo < 1e-6 or hi - nu < 1e-6:
         warnings.append(f"no interior minimum: nu = {nu!r} sits at the bracket boundary {NU_BRACKET}")
-    return _fit_at("power", pts, s, y, e, nu, warnings)
+    return _fit_at("power", pts, y, e, nu, *fit, warnings)
 
 
 def help_variable_from_pq(p: float, q: float, s: float) -> float:

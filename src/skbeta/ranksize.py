@@ -80,6 +80,7 @@ class RankModelSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", RankVariant(self.variant))
         names = PARAM_NAMES[self.variant]
         if len(self.params) != len(names):
             raise ValueError(
@@ -138,7 +139,6 @@ def _log_terms(variant: RankVariant, p, r: np.ndarray, n: int):
     if variant is RankVariant.LAV4:
         (b2,) = _positive(n - r + p[2])
         return [-np.log(b2), np.log(r)], [-p[0] / b2]
-    raise UnsupportedVariantError(f"unknown variant {variant}")
 
 
 def _positive(*bases: np.ndarray):
@@ -165,12 +165,6 @@ def eval_rank_model(spec: RankModelSpec, r: int, n: int) -> float:
     if not 1 <= r <= n:
         raise ValueError(f"rank must lie in 1..{n}, got {r}")
     return float(_spec_values(spec, np.array([float(r)]), n)[0])
-
-
-def _jacobian(variant: RankVariant, theta: np.ndarray, r: np.ndarray, n: int):
-    ln_f, g, dlog = _ln_model(variant, theta, r, n)
-    f = np.exp(ln_f)
-    return np.column_stack([f] + [f * col for col in g + dlog])
 
 
 def _initial_theta(variant, r, y, n):
@@ -223,18 +217,15 @@ def fit_rank_model(values, variant) -> RankFitResult:
         )
     r = np.arange(1.0, n + 1.0)
     p0 = _initial_theta(variant, r, y, n)[1:]
-    p, (c,), sse, stop, iterations = separable_fit(_columns(variant, r, n), p0, y)
-    shift = _ln_model(variant, [0.0, *p], r, n)[0].max()
-    scale = c * math.exp(-shift)
-    theta = np.concatenate(([math.log(c) - shift], p))
-    # Jacobian with respect to the raw parameters: d f / d scale = f / scale.
-    jac = _jacobian(variant, theta, r, n)
-    jac[:, 0] /= scale
+    p, (c,), _, sse, jac, stop, iterations = separable_fit(_columns(variant, r, n), p0, y)
+    # f = c h = scale e^shift h, so d f / d scale = h e^shift; d f / d p is c dh already.
+    unit = math.exp(-_ln_model(variant, [0.0, *p], r, n)[0].max())
+    jac[:, 0] /= unit
     ses = std_errors(jac, sse)
     r2 = r_squared(y, sse)
-    scale, se_scale, sse = rescale([scale, ses[0], sse], [1, 1, 2], e)
+    scale, se_scale, sse = rescale([c * unit, ses[0], sse], [1, 1, 2], e)
     return RankFitResult(
-        spec=RankModelSpec(variant, (scale,) + tuple(float(v) for v in theta[1:])),
+        spec=RankModelSpec(variant, (scale,) + tuple(float(v) for v in p)),
         std_errors=(se_scale,) + tuple(float(v) for v in ses[1:]),
         r_squared=r2,
         sse=sse,

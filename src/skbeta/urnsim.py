@@ -43,7 +43,7 @@ import numpy as np
 
 from . import betadist
 from ._numeric import lstsq
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, SkbetaError
 
 __all__ = [
     "UrnConfig",
@@ -193,7 +193,10 @@ def run(config: UrnConfig) -> SimResult:
     """Run ``config.steps`` steps from the single-urn initial state."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     base = config.k0 + config.a_shift
-    owners = np.empty(config.steps, np.int32)  # the urn of each added ball
+    try:
+        owners = np.empty(config.steps, np.int32)  # the urn of each added ball
+    except MemoryError:
+        raise SkbetaError(f"cannot allocate the {4 * config.steps} bytes that {config.steps} steps need") from None
     n_urns, n_balls, left = 1, 0, config.steps
     while left:
         steps, q, u = _draw_steps(rng, config.alpha, left)

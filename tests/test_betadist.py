@@ -359,6 +359,19 @@ class TestCalibration:
             calibrate_from_sk(0.87472, 1.6629)
         assert ei.value.rho == pytest.approx(-0.1234, abs=1e-4)
 
+    def test_shape_product_that_is_not_positive(self):
+        with pytest.raises(InfeasibleMomentPairError) as ei:
+            calibrate_from_sk(1e154, 1.2e308)
+        assert str(ei.value).startswith("shape product ab = nan is not positive ")
+        assert math.isnan(ei.value.rho) and math.isnan(ei.value.ab)
+
+    def test_round_trip_that_does_not_close(self):
+        with pytest.raises(InfeasibleMomentPairError) as ei:
+            calibrate_from_sk(5.396473938132609e151, 2.912193096546476e303)
+        assert str(ei.value).startswith("inversion did not close ")
+        assert ei.value.rho == pytest.approx(1.071942742910332e-10, rel=1e-12)
+        assert ei.value.ab == 5e-324  # the roots' product underflows to the least subnormal
+
     def test_pole_raises_not_representable(self):
         with pytest.raises(NotBetaRepresentableError):
             calibrate_from_sk(0.0, 3.5)

@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,9 @@ MICRO = (
     "AA,c1,1\nAA,c2,2\nAA,c3,3\nAA,c4,4\nAA,c5,9\n"
     "BB,d1,2\nBB,d2,4\nBB,d3,8\nBB,d4,16\nBB,d5,32\nBB,d6,64\n"
 )
+
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def run_cli(*argv):
@@ -655,6 +660,30 @@ class TestExitCodes:
         assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 2
         assert not out.exists()
 
+    def test_steps_that_cannot_be_allocated_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the owner array of 2**31 - 1 steps is ~8.6 GB: the allocator refuses
+        # that size only, and a run that gets past it trips the first draw
+        steps, empty = 2**31 - 1, np.empty
+
+        def no_room(shape, *args, **kwargs):
+            if shape == steps:
+                raise MemoryError(f"Unable to allocate 8.00 GiB for an array with shape ({steps},)")
+            return empty(shape, *args, **kwargs)
+
+        def no_draw(*args):
+            raise AssertionError("the urn ran")
+
+        monkeypatch.setattr(np, "empty", no_room)
+        monkeypatch.setattr(urnsim, "_draw_steps", no_draw)
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--steps", str(steps), "--out-dir", str(out)) == 4
+        err = f"cannot allocate the {4 * steps} bytes that {steps} steps need"
+        assert capsys.readouterr().err == f"error: {err}\n"
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"simulate = 1\nsim_steps = {steps}\n")
+        assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 3
+        assert f"simulate: skipped: {err}\n" in (out / "manifest.txt").read_text()
+
     def test_bins_past_2_20_exit_2_before_output(self, tmp_path, monkeypatch, capsys):
         # ~1e9 bins would build rows for every bin: validation must stop it first
         def no_histogram(values, n_bins):
@@ -879,6 +908,78 @@ class TestNumericRange:
             runs.append((rc, capsys.readouterr().err, files))
         assert runs[0] == runs[1]
         assert runs[0][0] == 3 and f"beta_moments_k.{'txt' if fmt == 'csv' else 'json'}" in runs[0][2]
+
+    @staticmethod
+    def cells(path):
+        """``(field, value)`` pairs of one output file, a value a number or else
+        its text: CSV cells by column, JSON leaves by key path (``.points[].k``),
+        and the numbers in any other line or string by the text with its
+        numbers masked."""
+        def numbers(at, text):
+            masked = at + NUMBER.sub("#", text)
+            return [(masked, float(v)) for v in NUMBER.findall(text)] or [(masked, "")]
+
+        def leaves(value, at):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield from leaves(item, f"{at}.{key}")
+            elif isinstance(value, list):
+                for item in value:
+                    yield from leaves(item, at + "[]")
+            else:
+                yield from numbers(at + ": ", value) if isinstance(value, str) else [(at, value)]
+
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            return list(leaves(json.loads(text), ""))
+        cells, rows = [], []
+        for line in text.splitlines():
+            if path.suffix == ".csv" and not line.startswith("#"):
+                rows.append(line)
+            else:
+                cells += numbers("", line)
+        if rows:
+            header, *body = csv.reader(rows)
+            for row in body:
+                for column, cell in zip(header, row, strict=True):
+                    cells.append((column, float(cell) if NUMBER.fullmatch(cell) else cell))
+        return cells
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("relation", ["reversed", "repeated"])
+    def test_pipeline_files_do_not_see_row_order_or_repeats(self, tmp_path, monkeypatch, capsys, fmt, relation):
+        """Each group's rows reversed, or its values repeated twice, leave the
+        population S and K as they are: every number of every file agrees
+        within 1e-12 relative, fitted values and residuals within 1e-12 of the
+        file's largest data value (its K, or a rank series' values).  Under
+        repeats the group sizes ``n`` are exactly
+        doubled and the pooled files (sums over every value) are left out."""
+        groups = synthetic_grouped_dataset(seed=3).groups
+        change = {"reversed": lambda v: v[::-1], "repeated": lambda v: np.tile(v, 2)}[relation]
+        runs = {}
+        for name, data in (("file", groups), (relation, {g: change(np.asarray(v)) for g, v in groups.items()})):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # relative paths: the manifests' source lines agree
+            write_grouped_csv(GroupedDataset(data), "in.csv")
+            rc = run_cli("pipeline", "--input", "in.csv", "--out-dir", "out", "--format", fmt)
+            runs[name] = rc, capsys.readouterr().err, sorted(p.name for p in Path("out").iterdir())
+        assert runs["file"] == runs[relation] and runs["file"][0] == 3
+        doubled = {"n", ".points[].n", ".skipped[].n"} if relation == "repeated" else set()
+        for name in runs["file"][2]:
+            if relation == "repeated" and name.startswith("pooled_"):
+                continue
+            base, other = (self.cells(tmp_path / run / "out" / name) for run in ("file", relation))
+            assert [f for f, _ in base] == [f for f, _ in other], name
+            top = max((abs(v) for f, v in base if f in ("k", ".points[].k", "value")), default=0.0)
+            for (field, x), (_, y) in zip(base, other):
+                if field in doubled:
+                    assert y == 2 * x, (name, field)
+                elif isinstance(x, (str, bool, type(None))):
+                    assert x == y, (name, field)
+                elif field in ("fitted", "residual", ".residuals[]"):
+                    assert abs(x - y) <= 1e-12 * top, (name, field, x, y)
+                else:
+                    assert abs(x - y) <= 1e-12 * max(abs(x), abs(y)), (name, field, x, y)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e200])
     def test_rank_fit_is_scale_free(self, tmp_path, scale):

@@ -47,6 +47,10 @@ class TestFitQuadratic:
         with pytest.raises(SingularDesignError):
             fit_quadratic(pts([(-1, 2), (1, 3), (1, 4)]))
 
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="^no points to fit$"):
+            fit_quadratic([])
+
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             fit_quadratic(pts([(0, 1), (1, 2)]))

@@ -133,10 +133,22 @@ class TestSeparableFit:
 
     def test_recovers_exponential_decay(self):
         y = 2.0 * np.exp(-0.7 * self.T) + 0.5
-        theta, coef, sse, stop, iterations = separable_fit(self.decay, [0.1], y)
+        theta, coef, resid, sse, jac, stop, iterations = separable_fit(self.decay, [0.1], y)
         assert theta[0] == pytest.approx(0.7, rel=1e-12)
         assert coef == pytest.approx([2.0, 0.5], rel=1e-12)
         assert sse < 1e-28 and stop == "tolerance" and iterations < 20
+        assert sse == resid @ resid and jac.shape == (self.T.size, 3)
+
+    @pytest.mark.parametrize("max_iter", [1, 3, 200])
+    def test_jacobian_is_a_and_da_coef_at_returned_theta(self, max_iter):
+        y = 2.0 * np.exp(-0.7 * self.T) + 0.5 + 0.01 * np.sin(7.0 * self.T)
+        theta, coef, resid, sse, jac, *_ = separable_fit(self.decay, [0.1], y, max_iter=max_iter)
+        a = self.decay(theta)[0]
+        assert np.array_equal(jac[:, :2], a)
+        np.testing.assert_array_equal(resid, y - a @ coef)
+        h = 1e-6
+        central = (self.decay(theta + h)[0] - self.decay(theta - h)[0]) @ coef / (2.0 * h)
+        np.testing.assert_allclose(jac[:, 2], central, rtol=1e-6)
 
     def test_clips_to_bounds(self):
         y = 2.0 * np.exp(-0.7 * self.T) + 0.5

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -89,6 +90,17 @@ class TestEvalRankModel:
             RankModelSpec(RankVariant.ZIPF, (0.0, 1.0))
         with pytest.raises(ValueError):
             RankModelSpec(RankVariant.ZIPF, (1.0, 1.0, 1.0))
+
+    def test_spec_takes_a_variant_name(self):
+        spec, enum = RankModelSpec("lav4", ATIK_PARAMS), RankModelSpec(RankVariant.LAV4, ATIK_PARAMS)
+        assert spec.variant is RankVariant.LAV4 and spec == enum
+        assert eval_rank_model(spec, 3, 10) == eval_rank_model(enum, 3, 10)
+        fit = fit_rank_model(lav4_series(*ATIK_PARAMS, 30), "lav4")
+        named = dataclasses.replace(fit, spec=RankModelSpec("lav4", fit.spec.params))
+        assert result_block(named) == result_block(fit)
+        assert rank_fit_to_beta(named) == rank_fit_to_beta(fit)
+        with pytest.raises(ValueError, match="lav6"):
+            RankModelSpec("lav6", (1.0, 0.5))
 
 
 # parameter choices generate ascending series, consistent with rank 1 = smallest
@@ -184,7 +196,8 @@ class TestFitRankModel:
         assert (stop, iterations) == ("max_iter", 1)
 
         def stuck(columns, p, y):
-            return np.asarray(p), np.array([1.0]), 1.0, "no descent", 7
+            jac = np.ones((y.size, len(p) + 1))
+            return np.asarray(p), np.array([1.0]), np.zeros_like(y), 1.0, jac, "no descent", 7
 
         monkeypatch.setattr(ranksize, "separable_fit", stuck)
         failed = fit_rank_model(y, "lav4")

@@ -295,7 +295,7 @@ def calibrate_from_sk(s: float, k: float) -> BetaCalibration:
     root_hi = 0.5 * rho * (1.0 + t / h)
     root_lo = 0.5 * rho * (u / h) * (u / (h + t))  # rho u^2 / (2h (h+t)) overflows
     ab = root_lo * root_hi
-    diagnosis = {"rho": rho, "discriminant": (t / h) ** 2, "ab": ab}
+    diagnosis = {"rho": rho, "ab": ab}
     if not ab > 0.0:  # an underflow, or NaN
         raise InfeasibleMomentPairError(
             f"shape product ab = {ab} is not positive for (S, K) = ({s}, {k})", **diagnosis

@@ -120,10 +120,10 @@ def _urn_config(flags: dict, config: dict[str, str], prefix: str, steps: int, se
     """The ``UrnConfig`` whose four urn fields come from ``flags``, else the
     config key ``prefix + field``, else their defaults (``steps`` given); an
     out-of-range value is a ParseError."""
-    defaults = dict(zip(_URN_FIELDS, (1, 0.0, 0.5, steps)))
-    # each config value is cast to its default's type
+    # each config value is cast to the type of ``UrnConfig``'s default
     fields = {
-        f: _resolve(flags.get(f), config, prefix + f, d, type(d)) for f, d in defaults.items()
+        f: _resolve(flags.get(f), config, prefix + f, d, type(d))
+        for f, d in vars(urnsim.UrnConfig(steps=steps)).items() if f in _URN_FIELDS
     }
     try:
         return urnsim.UrnConfig(**fields, seed=seed)

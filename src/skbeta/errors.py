@@ -81,10 +81,9 @@ class InfeasibleMomentPairError(SkbetaError):
     Carries the intermediate quantities for diagnosis.
     """
 
-    def __init__(self, message, *, rho=None, discriminant=None, ab=None):
+    def __init__(self, message, *, rho=None, ab=None):
         super().__init__(message)
         self.rho = rho
-        self.discriminant = discriminant
         self.ab = ab
 
 

@@ -215,12 +215,14 @@ def segment_moments(values: np.ndarray, counts) -> SegmentMoments:
     """n, mean and mu2..mu4 of each run of ``values``; ``counts`` (each >= 1)
     gives the run lengths in order.
 
-    Each run is first scaled by a power of two near its largest |x|, which
-    is exact and keeps sums finite and out of the subnormal range.  The mean
-    of the scaled run is corrected once by the mean of its deviations, and
-    the moments are taken about the corrected mean (the binomial shift of
-    Chan, Golub and LeVeque's corrected two-pass algorithm).  Deviations are
-    scaled by a power of two near their largest |d| before taking powers.
+    Each run is scaled once, exactly, by the power of two that puts its
+    largest |x| in [0.5, 1), so every deviation d has |d| < 2.  The mean of
+    the scaled run is corrected once by the mean of its deviations, and the
+    moments are taken about the corrected mean (the binomial shift of Chan,
+    Golub and LeVeque's corrected two-pass algorithm).  A run that is not
+    flat has |mean| >= 1/4 and sigma > 2**-44, or a value at least 1/4 from
+    its mean, so its mu4 is at least min(2**-176, 2**-8/n): its sums lie far
+    inside the normal range, and a second scaling, of d, would change no bit.
     """
     x = np.asarray(values, dtype=float)
     n = np.asarray(counts, dtype=np.int64)
@@ -233,15 +235,11 @@ def segment_moments(values: np.ndarray, counts) -> SegmentMoments:
         return np.add.reduceat(a, starts) / n
 
     ex = np.frexp(np.maximum.reduceat(np.abs(x), starts))[1]
-    xs = np.ldexp(x, per_value(-ex))
-    m0 = run_mean(xs)
-    d = xs - per_value(m0)
-    del xs
+    d = np.ldexp(x, per_value(-ex))
+    m0 = run_mean(d)
+    d -= per_value(m0)
     r = run_mean(d)
     mean = m0 + r
-    ed = np.frexp(np.maximum.reduceat(np.abs(d), starts))[1]
-    d = np.ldexp(d, per_value(-ed), out=d)
-    r = np.ldexp(r, -ed)
     d2 = d * d
     p2 = run_mean(d2)
     p3 = run_mean(d2 * d)
@@ -249,10 +247,8 @@ def segment_moments(values: np.ndarray, counts) -> SegmentMoments:
     mu2 = p2 - r * r
     mu3 = p3 - 3.0 * r * p2 + 2.0 * r**3
     mu4 = p4 - 4.0 * r * p3 + 6.0 * r * r * p2 - 3.0 * r**4
-    with np.errstate(under="ignore"):
-        std = np.ldexp(np.sqrt(np.maximum(mu2, 0.0)), ed)
-    flat = std <= REL_STD_FLOOR * np.abs(mean)
-    return SegmentMoments(n, np.ldexp(mean, ex), ex + ed, mu2, mu3, mu4, flat)
+    flat = np.sqrt(np.maximum(mu2, 0.0)) <= REL_STD_FLOOR * np.abs(mean)
+    return SegmentMoments(n, np.ldexp(mean, ex), ex, mu2, mu3, mu4, flat)
 
 
 def _moments(values: Iterable[float], flat_error=ZeroVarianceError):

@@ -184,6 +184,8 @@ class TestBetaPdf:
         assert beta_pdf(0.0, BetaParams(1.0, 3.0)) == 3.0
         assert beta_pdf(0.0, BetaParams(2.0, 2.0)) == 0.0
         assert beta_pdf(1.0, BetaParams(1.0, 0.5)) == math.inf
+        assert beta_pdf(1.0, BetaParams(2.5, 1.0)) == 2.5
+        assert beta_pdf(1.0, BetaParams(2.5, 3.0)) == 0.0
 
     @pytest.mark.parametrize("a", GRID)
     @pytest.mark.parametrize("b", GRID)

@@ -431,6 +431,7 @@ def test_grouped_dataset_layout():
     assert ds == GroupedDataset({"B": (3.0, 1.0), "A": [2.5], "E": ()}, "v")
     assert ds != GroupedDataset({"B": (3.0, 1.0), "A": [2.5]}, "v")
     assert ds != GroupedDataset({"B": (3.0, 1.0), "A": [2.5], "E": ()}, "w")
+    assert ds.__eq__(ds.groups) is NotImplemented and ds != ds.groups
 
 
 _PLAIN_FORMS = [("\n", ",", b""), ("\r\n", ",", b""), ("\n", "\t", b""), ("\r\n", "\t", b"\xef\xbb\xbf")]
@@ -976,6 +977,42 @@ class TestForkedPartsRobustness:
         serial = parse_city_csv(path)
         with in_parts(3), mock.patch.object(os, "fork", side_effect=BlockingIOError(11, "EAGAIN")):
             assert bits(parse_city_csv(path)) == bits(serial)
+
+    def test_no_fork_means_one_usable_cpu(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert _fork.usable_cpus() == 1
+
+    def test_unreadable_cpu_number_leaves_children_unpinned(self, monkeypatch):
+        """Where ``/proc/self/stat`` cannot be read, the CPU the parent runs
+        on is unknown: children run wherever the scheduler puts them."""
+
+        def opener(file, *args, **kwargs):
+            if file == "/proc/self/stat":
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(_fork, "open", opener, raising=False)
+        assert _fork._other_cpus() is None
+        with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert _fork.in_parts(lambda i: i * i, 3) == [0, 1, 4]
+        assert fork.call_count == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_reaped_elsewhere_is_tolerated(self):
+        """A child that something else reaped first (here: the real call,
+        before the wrapper raises) leaves ``waitpid`` a ChildProcessError."""
+        real, reaped = os.waitpid, []
+
+        def reaped_elsewhere(pid, options):
+            reaped.append(real(pid, options)[0])
+            raise ChildProcessError(10, "No child processes")
+
+        with mock.patch.object(os, "waitpid", reaped_elsewhere):
+            assert _fork.in_parts(lambda i: -i, 3) == [0, -1, -2]
+        assert len(reaped) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestPinnedBytes:

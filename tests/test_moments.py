@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -373,3 +374,23 @@ class TestSegmentMoments:
         assert shape_moments([-spread, spread, 0.0, 0.0])  # mean 0: any spread counts
         with pytest.raises(UndefinedShapeError):
             shape_moments([1.0 - spread / 8, 1.0 + spread / 8, 1.0, 1.0])
+
+    # offsets j of values 1 + j 2^-40, each group's sigma between 1.03 and
+    # 11 times the floor of its mean
+    JS = [[0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 1, 3, 7], [2, 0, 5, 1, 1], [1] + [0] * 13]
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1.0, 2.0**1000])
+    def test_groups_just_above_the_floor_match_exact_moments(self, scale):
+        """One scaling per group is enough near the floor: at any scale the
+        shapes of exactly representable values match exact rationals."""
+        groups = [[scale * (1.0 + j * 2.0**-40) for j in js] for js in self.JS]
+        m = segment_moments(np.concatenate(groups), [len(g) for g in groups])
+        s, k = m.shape()
+        assert not m.flat.any()
+        for i, xs in enumerate(groups):
+            x = [Fraction(v) for v in xs]
+            mean = sum(x) / len(x)
+            mu2, mu3, mu4 = (sum((v - mean) ** p for v in x) / len(x) for p in (2, 3, 4))
+            s_ref = math.sqrt(mu3 * mu3 / mu2**3) * (-1.0 if mu3 < 0 else 1.0)
+            assert s[i] == pytest.approx(s_ref, rel=1e-13, abs=1e-13)
+            assert k[i] == pytest.approx(float(mu4 / (mu2 * mu2)), rel=1e-13, abs=1e-13)

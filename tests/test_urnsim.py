@@ -395,6 +395,8 @@ class TestCountTable:
     def test_equality_is_equal_sizes(self):
         assert SimResult.from_sizes([2, 1, 2]) == SimResult.from_sizes(np.array([2, 1, 2]))
         assert SimResult.from_sizes([2, 1, 2]) != SimResult.from_sizes([2, 2, 1])
+        assert SimResult.from_sizes([2, 1, 2]).__eq__([2, 1, 2]) is NotImplemented
+        assert SimResult.from_sizes([2, 1, 2]) != [2, 1, 2]
 
 
 class TestTailSlope:

@@ -4,6 +4,8 @@ Usage: python tools/cli_battery.py OUTDIR [SRC]
 
 SRC is the ``src`` directory of the checkout to run (default: the one next
 to this script), so one copy of this script can drive an older checkout too.
+The inputs come from this script's checkout alone, never from SRC, so two
+checkouts' calls read the same bytes.
 Each of the 43 calls runs ``python -m skbeta.cli`` with OUTDIR as its working
 directory and relative paths only, once with ``--format csv`` and once with
 ``--format json``; call NAME in format FMT writes into OUTDIR/NAME-FMT, and
@@ -18,10 +20,11 @@ a small seeded one with a BOM and every field quoted (an escaped quote, a
 quoted delimiter and a quoted line break among them, a blank line and a
 lone CR), a seeded one with 2400 groups (2400 S/K points through every
 ``pipeline`` section, with ``--simulate`` too), the all-equal tiny file, the
-bundled province table, the S/K points of ``pipeline --synthetic --seed 0``,
-the same points with K scaled by 1e-300 and 1e200, and the same points with
-one group key of 200,000 characters.  Two checkouts' batteries compare with
-``diff -r``.
+bundled province table, ``battery_sk_points.csv`` from next to this script
+(the S/K points that ``pipeline --synthetic --seed 0`` wrote when it was
+committed), the same points with K scaled by 1e-300 and 1e200, and the same
+points with one group key of 200,000 characters.  Two checkouts' batteries
+compare with ``diff -r``.
 Standard library only.
 """
 
@@ -34,6 +37,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+HERE = Path(__file__).resolve().parent
 POINTS = "inputs/synthetic/sk_points.csv"
 FIXTURE = "inputs/province_summary.csv"
 
@@ -104,10 +108,11 @@ def cli(root: Path, src: Path, args: list[str]) -> subprocess.CompletedProcess:
     )
 
 
-def make_inputs(root: Path, src: Path) -> None:
+def make_inputs(root: Path) -> None:
     inputs = root / "inputs"
-    inputs.mkdir(parents=True)
-    shutil.copy(src / "skbeta" / "data" / "province_summary.csv", root / FIXTURE)
+    (inputs / "synthetic").mkdir(parents=True)
+    shutil.copy(HERE.parent / "src" / "skbeta" / "data" / "province_summary.csv", root / FIXTURE)
+    shutil.copy(HERE / "battery_sk_points.csv", root / POINTS)
     (inputs / "tiny.csv").write_text(
         "province,city,value\n" + "".join(f"AA,c{i},1e-310\n" for i in range(6))
     )
@@ -155,9 +160,6 @@ def make_inputs(root: Path, src: Path) -> None:
         for g in range(2400) for i in range(rng.randrange(30, 61))
     ]
     (inputs / "many_groups.csv").write_text("province,city,value\n" + "".join(rows))
-    done = cli(root, src, ["pipeline", "--synthetic", "--seed", "0", "--out-dir", "inputs/synthetic"])
-    if done.returncode != 0:
-        raise SystemExit(f"making {POINTS} failed:\n{done.stderr}")
     header, *lines = (root / POINTS).read_text().splitlines()
     for label, scale in (("1e-300", 1e-300), ("1e200", 1e200)):
         scaled = []
@@ -175,10 +177,10 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
-    src = Path(argv[1]).resolve() if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    src = Path(argv[1]).resolve() if len(argv) > 1 else HERE.parent / "src"
     if root.exists():
         raise SystemExit(f"{root} exists; give a new directory")
-    make_inputs(root, src)
+    make_inputs(root)
     for name, args in CALLS.items():
         for fmt in ("csv", "json"):
             out = f"{name}-{fmt}"

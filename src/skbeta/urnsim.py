@@ -204,9 +204,13 @@ def run(config: UrnConfig) -> SimResult:
         n_urns += steps - q.size
         n_balls += q.size
         left -= steps
-    sizes = np.bincount(owners[:n_balls], minlength=n_urns)
+    # tallied in place: np.bincount would first copy the int32 owners to intp
+    try:
+        sizes = np.full(n_urns, config.k0, np.int64)
+    except MemoryError:
+        raise SkbetaError(f"cannot allocate the {8 * n_urns} bytes that {n_urns} urns need") from None
+    np.add.at(sizes, owners[:n_balls], 1)
     del owners  # not held while the result is built
-    sizes += config.k0
     sizes.flags.writeable = False
     return SimResult.from_sizes(sizes)
 

@@ -684,6 +684,28 @@ class TestExitCodes:
         assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 3
         assert f"simulate: skipped: {err}\n" in (out / "manifest.txt").read_text()
 
+    def test_sizes_that_cannot_be_allocated_exit_4(self, tmp_path, monkeypatch, capsys):
+        # at alpha = 1 every step makes an urn: the owner array is allocated
+        # and the allocator refuses the 1001 sizes only
+        steps, urns, full = 1000, 1001, np.full
+
+        def no_room(shape, fill_value, *args, **kwargs):
+            if shape == urns and fill_value == 7:
+                raise MemoryError(f"Unable to allocate 7.82 KiB for an array with shape ({urns},)")
+            return full(shape, fill_value, *args, **kwargs)
+
+        monkeypatch.setattr(np, "full", no_room)
+        out = tmp_path / "o"
+        argv = ["--k0", "7", "--alpha", "1", "--steps", str(steps), "--out-dir", str(out)]
+        assert run_cli("simulate", *argv) == 4
+        err = f"cannot allocate the {8 * urns} bytes that {urns} urns need"
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"simulate = 1\nsim_k0 = 7\nsim_alpha = 1\nsim_steps = {steps}\n")
+        assert run_cli("pipeline", "--synthetic", "--config", str(cfg), "--out-dir", str(out)) == 3
+        assert f"simulate: skipped: {err}\n" in (out / "manifest.txt").read_text()
+
     def test_bins_past_2_20_exit_2_before_output(self, tmp_path, monkeypatch, capsys):
         # ~1e9 bins would build rows for every bin: validation must stop it first
         def no_histogram(values, n_bins):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -100,6 +101,23 @@ class TestRun:
         assert res.total_balls == sum(res.urn_sizes) and type(res.total_balls) is int
         with pytest.raises(ValueError):
             res.sizes[0] = 0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_run_holds_its_owners_and_sizes_only(self, alpha):
+        """The traced peak is the int32 owner array, one int64 per urn and a
+        chunk's arrays: 4 + 8 alpha bytes a step.  Tallying the owners with
+        ``np.bincount`` copies them to intp first, 8 (1 - alpha) bytes a step
+        more (4 MB here at alpha = 0.5), which the chunk's allowance does not
+        cover."""
+        run(UrnConfig(steps=10))  # first-call set-up is not the run's
+        cfg = UrnConfig(alpha=alpha, steps=1_000_000, seed=4)
+        tracemalloc.start()
+        try:
+            res = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * cfg.steps + 8 * res.n_urns + (3 << 19)
 
     def test_from_sizes_copies_a_writable_array(self):
         sizes = np.array([1, 2, 2])

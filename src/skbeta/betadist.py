@@ -262,14 +262,23 @@ def beta_kurtosis(params: BetaParams) -> float:
 
 
 def help_variable(s: float, k: float) -> float:
-    """rho = 6 (K - S^2 - 1) / (6 + 3 S^2 - 2 K); equals a + b on the Beta family."""
-    denom = 6.0 + 3.0 * s * s - 2.0 * k
+    """rho = 6 (K - S^2 - 1) / (6 + 3 S^2 - 2 K); equals a + b on the Beta family.
+
+    Where 3 S^2 or 2 K overflows, the ratio is taken in S 2^-e, K 4^-e and
+    the constants times 4^-e, with e = max(exponent of S, half that of K):
+    exact powers of two, so every rho that is finite unscaled keeps its bits.
+    """
+    scale = 1.0
+    if not (math.isfinite(3.0 * s * s) and math.isfinite(2.0 * k)):
+        scale = math.ldexp(1.0, -max(math.frexp(s)[1], (math.frexp(k)[1] + 1) // 2))
+    sc, kc, one = s * scale, k * scale * scale, scale * scale
+    denom = 6.0 * one + 3.0 * sc * sc - 2.0 * kc
     if denom <= 0.0:
         raise NotBetaRepresentableError(
-            f"help variable undefined: denominator 6 + 3 S^2 - 2 K = {denom} <= 0 "
+            f"help variable undefined: denominator 6 + 3 S^2 - 2 K = {denom / scale / scale} <= 0 "
             f"for (S, K) = ({s}, {k})"
         )
-    return 6.0 * (k - s * s - 1.0) / denom
+    return 6.0 * (kc - sc * sc - one) / denom
 
 
 def calibrate_from_sk(s: float, k: float) -> BetaCalibration:
@@ -328,32 +337,17 @@ def _stirling_tail(y: float) -> float:
     return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - 1.0 / (1680.0 * y2)) / y2) / y2) / y
 
 
-def _lgamma_diff(x, c: float):
-    """ln Gamma(x) - ln Gamma(x + c) without large-term cancellation, at a
-    float x or at each entry of a float array x (each entry gets the float's
-    bits).
+def _lgamma_diff(x: float, c: float) -> float:
+    """ln Gamma(x) - ln Gamma(x + c) without large-term cancellation.
 
     For large x the two log-gammas grow like x ln x while their difference
     stays O(c ln x); subtracting direct lgamma values then loses ~x ln x * eps
     of absolute accuracy, which breaks pmf ratio identities at the 1e-12
     level.  The Stirling form keeps every term at the size of the result.
     """
-    if not isinstance(x, np.ndarray):
-        if x < 20.0:
-            return math.lgamma(x) - math.lgamma(x + c)
-        return _stirling_diff(x, c, math.log1p(c / x), math.log(x + c))
-    out = np.empty_like(x)
-    small = x < 20.0
-    out[small] = [math.lgamma(v) - math.lgamma(v + c) for v in x[small].tolist()]
-    big = x[~small]
-    out[~small] = _stirling_diff(big, c, _each(math.log1p, c / big), _each(math.log, big + c))
-    return out
-
-
-def _stirling_diff(x, c: float, log1p_c_x, log_x_c):
-    """The Stirling form of ``_lgamma_diff`` at x >= 20, given ln(1 + c/x)
-    and ln(x + c)."""
-    return -(x - 0.5) * log1p_c_x - c * log_x_c + c + _stirling_tail(x) - _stirling_tail(x + c)
+    if x < 20.0:
+        return math.lgamma(x) - math.lgamma(x + c)
+    return -(x - 0.5) * math.log1p(c / x) - c * math.log(x + c) + c + _stirling_tail(x) - _stirling_tail(x + c)
 
 
 def _each(f, v: np.ndarray) -> np.ndarray:
@@ -394,15 +388,10 @@ def urn_limit_pmf(k: int, k0: int, a: float, b: float) -> float:
 
 def urn_limit_pmfs(ks, k0: int, a: float, b: float) -> list[float]:
     """``urn_limit_pmf`` at each integer k of ``ks``, bit for bit, with the
-    arguments checked, the k-free terms computed once and the Stirling
-    arithmetic on arrays."""
+    arguments checked and the k-free terms computed once."""
     k0 = _urn_k0(k0, a, b)
-    ln_head, ln_b_ratio = _urn_norm(k0, a, b - 1.0)
-    ks = np.fromiter(map(operator.index, ks), float)
-    out = np.zeros(ks.size)
-    on = ks >= k0
-    out[on] = _each(math.exp, _lgamma_diff(ks[on] + a, b) - ln_head + ln_b_ratio)
-    return out.tolist()
+    norm = _urn_norm(k0, a, b - 1.0)
+    return [_urn_law(k, a, b, *norm) if k >= k0 else 0.0 for k in map(operator.index, ks)]
 
 
 def _urn_k0(k0: int, a: float, b: float) -> int:

@@ -34,7 +34,6 @@ stream with array operations, chunk by chunk:
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -280,20 +279,16 @@ def empirical_tail_slope(result: SimResult, k_min: int) -> float:
 
 
 def tv_distance_to_limit(result: SimResult, config: UrnConfig, b: float | None = None) -> float:
-    """Total-variation distance between the empirical pmf and the limit law.
+    """Total-variation distance between the empirical pmf f and the limit law p.
 
-    The limit mass beyond the largest observed size is counted in full
-    (the empirical pmf is zero there).
+    Both sum to 1, so it is the sum over the observed sizes k of
+    max(f_k - p_k, 0) (Levin, Peres & Wilmer 2009, Prop. 4.2).  The limit
+    mass beyond them counts in full, and so does a size below k0 (p is 0).
     """
     if b is None:
         b = predicted_b(config)
-    ks = range(config.k0, int(result.ks[-1]) + 1)
-    limit = betadist.urn_limit_pmfs(ks, config.k0, config.a_shift, b)
-    limit_mass = functools.reduce(operator.add, limit, 0.0)  # in order: sum() is not, from 3.12
-    freq = np.zeros(len(ks))
-    seen = result.ks >= config.k0
-    freq[result.ks[seen] - config.k0] = result.counts[seen] / result.n_urns
-    return 0.5 * (math.fsum(np.abs(freq - limit).tolist()) + max(1.0 - limit_mass, 0.0))
+    limit = betadist.urn_limit_pmfs(result.ks.tolist(), config.k0, config.a_shift, b)
+    return math.fsum(np.maximum(result.counts / result.n_urns - limit, 0.0).tolist())
 
 
 def sim_csv(result: SimResult, config: UrnConfig, b: float | None = None) -> str:

@@ -312,6 +312,20 @@ class TestHelpVariable:
         with pytest.raises(NotBetaRepresentableError):
             help_variable(0.0, 3.0)
 
+    def test_squares_past_the_float_range(self):
+        """Where 3 S^2 or 2 K overflows, rho is still the exact ratio rounded,
+        and a pole names the caller's (S, K) and the denominator unscaled."""
+        assert help_variable(1e154, 1.2e308) == 1.9999999999999973
+        with pytest.raises(NotBetaRepresentableError) as ei:
+            help_variable(1e154, 1.7e308)
+        assert str(ei.value) == (
+            "help variable undefined: denominator 6 + 3 S^2 - 2 K = -3.9999999999999945e+307 <= 0 "
+            "for (S, K) = (1e+154, 1.7e+308)"
+        )
+        with pytest.raises(NotBetaRepresentableError) as ei:
+            help_variable(0.0, 1e308)  # the denominator unscaled overflows
+        assert str(ei.value).endswith(" = -inf <= 0 for (S, K) = (0.0, 1e+308)")
+
     @given(shapes, shapes)
     @settings(max_examples=200, deadline=None)
     def test_equals_shape_sum(self, a, b):
@@ -363,9 +377,14 @@ class TestCalibration:
 
     def test_shape_product_that_is_not_positive(self):
         with pytest.raises(InfeasibleMomentPairError) as ei:
-            calibrate_from_sk(1e154, 1.2e308)
-        assert str(ei.value).startswith("shape product ab = nan is not positive ")
-        assert math.isnan(ei.value.rho) and math.isnan(ei.value.ab)
+            calibrate_from_sk(1e153, 1.0000000000166667e306)
+        assert str(ei.value).startswith("shape product ab = 0.0 is not positive ")
+        assert ei.value.rho == pytest.approx(1e-10, rel=1e-6) and ei.value.ab == 0.0
+
+    def test_pair_whose_squares_overflow(self):
+        # 3 S^2 and 2 K overflow; 6 + 3 S^2 - 2 K was inf - inf
+        cal = calibrate_from_sk(1e154, 1.2e308)
+        assert cal.selected == BetaParams(1.4999999999999984e-308, 1.9999999999999973)
 
     def test_round_trip_that_does_not_close(self):
         with pytest.raises(InfeasibleMomentPairError) as ei:

@@ -1039,7 +1039,7 @@ class TestPinnedBytes:
                 "0.5",
                 {
                     "sim_hist.csv": "585a6d00dda4a4689cf5b024d07e165bff04673b7475ec0d0ecbd8238321075c",
-                    "sim_summary.txt": "50be628af7c01dccfbd63fac22bfd25f47b05ef80774bb91ffd4a6d2149d32aa",
+                    "sim_summary.txt": "39b5d7ebe9fdcfdaebe01e6509a2f39fcefbe8b09ac86277514f2e8d25aff377",
                     "sim_result.json": "9d717462b3deaf6c75f68b12b7f64af7935d90e99885c4de95a371c506dfe44b",
                 },
             ),
@@ -1048,7 +1048,7 @@ class TestPinnedBytes:
                 "0.3",
                 {
                     "sim_hist.csv": "e1bdbd0e7d89ad9f1305f165a52ec29bf32c9d52c7fa4da889099c434850e218",
-                    "sim_summary.txt": "c47bd93dc87528c49e4a692538c6bc84c80235f9660eb1243cef0198a42b89da",
+                    "sim_summary.txt": "ccdfb29ea77a4084c3445daf87c6fb888843966b33e9968f4747d9e9fdc03a65",
                     "sim_result.json": "13fd8242fc4a79b61c49e9cb231c3c2356fa2a2dcfa52ed312d6f8096176a1a5",
                 },
             ),

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,8 +316,18 @@ class TestLimitAgreement:
 
 
 def reference_tv(result: SimResult, config: UrnConfig, b: float) -> float:
-    """The TV distance one k at a time, with the pmf from a ``Counter`` of
-    the sizes: ``tv_distance_to_limit`` must equal it to the bit."""
+    """The TV distance one observed k at a time, with the pmf from a
+    ``Counter`` of the sizes: ``tv_distance_to_limit`` must equal it to the bit."""
+    n = len(result.urn_sizes)
+    return math.fsum(
+        max(c / n - betadist.urn_limit_pmf(k, config.k0, config.a_shift, b), 0.0)
+        for k, c in Counter(result.urn_sizes).items()
+    )
+
+
+def full_range_tv(result: SimResult, config: UrnConfig, b: float) -> float:
+    """The TV distance as half the L1 distance over every k from k0 to the
+    largest size, plus the limit mass beyond it."""
     n = len(result.urn_sizes)
     pmf = {k: c / n for k, c in Counter(result.urn_sizes).items()}
     ks = range(config.k0, max(pmf) + 1)
@@ -358,15 +370,42 @@ class TestReferences:
         res = run(cfg)
         b = predicted_b(cfg)
         for other in (b, b + 0.25):
-            assert tv_distance_to_limit(res, cfg, other) == reference_tv(res, cfg, other)
+            tv = tv_distance_to_limit(res, cfg, other)
+            assert tv == reference_tv(res, cfg, other)
+            assert tv == pytest.approx(full_range_tv(res, cfg, other), rel=1e-12, abs=0.0)
         for k_min in (3, 10):
             ref = reference_tail_slope(res, k_min)
             assert empirical_tail_slope(res, k_min) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_sizes_below_k0_are_left_out_of_the_tv(self):
-        res = SimResult.from_sizes([1, 2, 2, 3, 5, 5, 9])
-        cfg = UrnConfig(k0=2, alpha=0.5)
-        assert tv_distance_to_limit(res, cfg, 3.0) == reference_tv(res, cfg, 3.0)
+    @pytest.mark.parametrize("k0, exact", [(1, Fraction(4163, 6930)), (2, Fraction(116, 231))])
+    def test_exact_tv_of_a_hand_made_table(self, k0, exact):
+        """At a = 0, b = 3 the law is 2 c / (k (k+1) (k+2)) with c = 2 at
+        k0 = 1 and 6 at k0 = 2, and its mass beyond m is c / ((m+1) (m+2)).
+        The size 1 lies below k0 = 2 and counts in full."""
+        sizes = [1, 2, 2, 3, 5, 5, 9]
+        c = {1: 2, 2: 6}[k0]
+        f = {k: Fraction(n, len(sizes)) for k, n in Counter(sizes).items()}
+        p = {k: Fraction(2 * c, k * (k + 1) * (k + 2)) if k >= k0 else 0 for k in range(1, 10)}
+        assert (sum(abs(f.get(k, 0) - p[k]) for k in p) + Fraction(c, 10 * 11)) / 2 == exact
+        tv = tv_distance_to_limit(SimResult.from_sizes(sizes), UrnConfig(k0=k0, alpha=0.5), 3.0)
+        assert tv == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+
+    def test_tv_reads_the_count_table_only(self):
+        """One urn of 10**6 balls: the TV evaluates the law at the two
+        observed sizes, not at every k up to the largest."""
+        cfg = UrnConfig(alpha=0.5)
+        res = SimResult.from_sizes([1] * 9 + [10**6])
+        tv_distance_to_limit(res, cfg, 3.0)  # first-call set-up is not the TV's
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            tv = tv_distance_to_limit(res, cfg, 3.0)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and elapsed < 0.1
+        assert tv == reference_tv(res, cfg, 3.0)
 
 
 def counter_truth(sizes) -> tuple[int, int, dict[int, float]]:

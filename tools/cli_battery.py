@@ -6,7 +6,7 @@ SRC is the ``src`` directory of the checkout to run (default: the one next
 to this script), so one copy of this script can drive an older checkout too.
 The inputs come from this script's checkout alone, never from SRC, so two
 checkouts' calls read the same bytes.
-Each of the 44 calls runs ``python -m skbeta.cli`` with OUTDIR as its working
+Each of the 45 calls runs ``python -m skbeta.cli`` with OUTDIR as its working
 directory and relative paths only, once with ``--format csv`` and once with
 ``--format json``; call NAME in format FMT writes into OUTDIR/NAME-FMT, and
 its exit code and stderr go to the files ``exit_code`` and ``stderr`` there.
@@ -92,6 +92,10 @@ CALLS = {
     ],
     "simulate_negative_exponent": ["simulate", "--a-shift", "-5e-1", "--steps", "100"],
     "simulate_one_big_urn": ["simulate", "--alpha", "0.01", "--steps", "200000", "--seed", "5"],
+    "simulate_k0_2": [
+        "simulate", "--k0", "2", "--a-shift", "-1", "--alpha", "0.3", "--steps", "50000",
+        "--seed", "7",
+    ],
     "fit_quadratic_k1e-300": ["fit", "--input", "inputs/k1e-300.csv", "--model", "quadratic"],
     "fit_power_k1e-300": ["fit", "--input", "inputs/k1e-300.csv", "--model", "power"],
     "fit_quadratic_k1e200": ["fit", "--input", "inputs/k1e200.csv", "--model", "quadratic"],
